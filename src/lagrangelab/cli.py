@@ -22,20 +22,26 @@ from itertools import product
 from typing import Sequence
 
 from .errors import InternalInvariantError, StructuralError, UsageError
-from .exactlinalg import IntMatrix, gcd_list
+from .exactlinalg import IntMatrix
 from .families import FAMILIES, FamilyInstance, build
-from .fibration import fibration_report
 from .gale import (
     QuadricSystem,
     polytope_to_quadrics,
     quadrics_to_polytope,
 )
-from .isotopy import h1_mod2, isotopy_bound, pigeonhole
-from .lattice import lattice_data
-from .maslov import generator_report
 from .numerics import numeric_report
-from .polytope import PolytopePresentation
-from .report import check_polytope, check_quadrics, render_text, report_dict
+from .polytope import PolytopePresentation, gate, normalize_normals
+from .report import (
+    QuadricInvariants,
+    check_polytope,
+    check_quadrics,
+    frac_str,
+    pigeonhole_reports,
+    quadric_invariants,
+    render_text,
+    report_dict,
+    type_key,
+)
 from .topology import (
     Unknown,
     classify_fiber,
@@ -48,18 +54,23 @@ from .topology import (
 __all__ = ["main", "parse_input"]
 
 
+_RATIONAL_FORMS = "an integer or a 'p/q', decimal ('0.5') or exponent ('1e3') string"
+
+
 def _rational(value, where: str) -> Fraction:
     if isinstance(value, bool):
-        raise UsageError(f"{where}: expected an integer or 'p/q' string")
+        raise UsageError(f"{where}: expected {_RATIONAL_FORMS}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"{where}: bad rational {value!r} ({exc})") from None
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(
+                f"{where}: bad rational {value!r} (expected {_RATIONAL_FORMS})"
+            ) from None
     raise UsageError(
-        f"{where}: expected an integer or 'p/q' string, got {type(value).__name__}"
+        f"{where}: expected {_RATIONAL_FORMS}, got {type(value).__name__}"
     )
 
 
@@ -133,27 +144,6 @@ def _read_input(path: str) -> PolytopePresentation | QuadricSystem:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _normalize_normals(p: PolytopePresentation) -> PolytopePresentation:
-    """Divide every facet normal (and its offset) by the normal's gcd.
-
-    This keeps the point set but changes the associated quadric system:
-    the weights carried by non-primitive normals are deliberately dropped.
-    """
-    cols = []
-    offs = []
-    for i in range(p.n):
-        a = p.normal(i)
-        g = gcd_list(a) or 1
-        cols.append(tuple(x // g for x in a))
-        offs.append(p.offsets[i] / g)
-    rows = [tuple(c[t] for c in cols) for t in range(p.dim)]
-    return PolytopePresentation(IntMatrix.from_rows(rows), tuple(offs))
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -162,11 +152,11 @@ def _cmd_check(args) -> int:
     parsed = _read_input(args.file)
     if isinstance(parsed, PolytopePresentation):
         if args.normalize_normals:
-            parsed = _normalize_normals(parsed)
+            parsed = normalize_normals(parsed)
         rep = check_polytope(parsed)
     else:
         rep = check_quadrics(parsed)
-    numeric = numeric_report(rep.system, lat=rep.lattice, seed=args.seed)
+    numeric = numeric_report(rep, seed=args.seed)
     if not numeric.within(args.tol_membership, args.tol_lagrangian):
         raise InternalInvariantError(
             "numeric spot check failed: "
@@ -205,12 +195,12 @@ def _cmd_gale(args) -> int:
                 "schema": 1,
                 "kind": "quadrics",
                 "gamma": [list(row) for row in q.gamma.data],
-                "delta": [_frac_str(d) for d in q.delta],
+                "delta": [frac_str(d) for d in q.delta],
             }, indent=2))
         else:
             print(f"quadric system: {q.r} quadrics in {q.n} coordinates")
             for i, row in enumerate(q.gamma.data):
-                print(f"  {list(row)} * u^2 = {_frac_str(q.delta[i])}")
+                print(f"  {list(row)} * u^2 = {frac_str(q.delta[i])}")
     else:
         p = quadrics_to_polytope(parsed)
         if args.json:
@@ -218,12 +208,12 @@ def _cmd_gale(args) -> int:
                 "schema": 1,
                 "kind": "polytope",
                 "normals": [list(p.normal(i)) for i in range(p.n)],
-                "offsets": [_frac_str(b) for b in p.offsets],
+                "offsets": [frac_str(b) for b in p.offsets],
             }, indent=2))
         else:
             print(f"polytope: dimension {p.dim}, {p.n} facets")
             for i in range(p.n):
-                print(f"  <{list(p.normal(i))}, x> + {_frac_str(p.offsets[i])} >= 0")
+                print(f"  <{list(p.normal(i))}, x> + {frac_str(p.offsets[i])} >= 0")
     return 0
 
 
@@ -234,14 +224,10 @@ def _cmd_topology(args) -> int:
         if isinstance(parsed, PolytopePresentation)
         else parsed
     )
+    vertices, _ = gate(quadrics_to_polytope(q))
     fiber = classify_fiber(q)
     if isinstance(fiber, Unknown):
-        from .polytope import enumerate_vertices
-
-        p = quadrics_to_polytope(q)
-        j = connectivity_bound(
-            [v.active for v in enumerate_vertices(p)], q.n
-        )
+        j = connectivity_bound([v.active for v in vertices], q.n)
         print(f"fiber: {render(fiber)}")
         print(f"the fiber is at least {j - 1}-connected (dimension {q.dim})")
     else:
@@ -301,12 +287,11 @@ def _grid(family: str, values: dict[str, list[int]]):
         yield dict(zip(names, combo))
 
 
-def _run_instance(inst: FamilyInstance) -> dict:
+def _run_instance(inst: FamilyInstance) -> QuadricInvariants:
     """Compute the pipeline values and insist they match the closed forms."""
-    lat = lattice_data(inst.system)
-    mas = generator_report(inst.system, lat)
-    fib = fibration_report(inst.system, lat, mas)
-    fiber = classify_fiber(inst.system, validated=inst.validated)
+    vertices = () if inst.validated else gate(quadrics_to_polytope(inst.system))[0]
+    inv = quadric_invariants(inst.system, vertices)
+    mas, fib, fiber = inv.maslov, inv.fibration, inv.fiber
     label = ", ".join(f"{k}={v}" for k, v in inst.params) or inst.family
     if mas.minimal_maslov != inst.minimal_maslov:
         raise InternalInvariantError(
@@ -322,17 +307,7 @@ def _run_instance(inst: FamilyInstance) -> dict:
         raise InternalInvariantError(
             f"{inst.family}({label}): fibration flags disagree with closed form"
         )
-    return {
-        "params": dict(inst.params),
-        "minimal_maslov": mas.minimal_maslov,
-        "mu": list(mas.mu),
-        "fiber": render(fiber),
-        "orientable": fib.orientable,
-        "trivial": fib.trivial,
-        "n": inst.system.n,
-        "quadrics": inst.system.r,
-        "_fiber_expr": fiber,
-    }
+    return inv
 
 
 def _cmd_reproduce(args) -> int:
@@ -343,10 +318,18 @@ def _cmd_reproduce(args) -> int:
             inst = build(args.family, **params)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        rows.append(_run_instance(inst))
+        inv = _run_instance(inst)
+        rows.append({
+            "params": dict(inst.params),
+            "minimal_maslov": inv.maslov.minimal_maslov,
+            "mu": list(inv.maslov.mu),
+            "fiber": render(inv.fiber),
+            "orientable": inv.fibration.orientable,
+            "trivial": inv.fibration.trivial,
+            "n": inst.system.n,
+            "quadrics": inst.system.r,
+        })
     if args.json:
-        for row in rows:
-            row.pop("_fiber_expr")
         print(json.dumps({"schema": 1, "family": args.family, "rows": rows}, indent=2))
     else:
         for row in rows:
@@ -364,7 +347,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_scan(args) -> int:
     values = _parse_ranges(args.range or [])
     values.update(_parse_assignments(args.params or []))
-    rows = []
+    groups: dict[tuple, list[QuadricInvariants]] = {}
     skipped = 0
     for params in _grid(args.family, values):
         try:
@@ -372,32 +355,21 @@ def _cmd_scan(args) -> int:
         except ValueError:
             skipped += 1  # sweeping ranges may leave the constraint region
             continue
-        rows.append(_run_instance(inst))
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        key = (row["fiber"], row["quadrics"], row["trivial"], row["n"])
-        groups.setdefault(key, []).append(row)
+        inv = _run_instance(inst)
+        groups.setdefault(type_key(inv), []).append(inv)
     out = []
     for key in sorted(groups, key=str):
         members = groups[key]
-        fiber_expr = members[0]["_fiber_expr"]
-        r, trivial, n = key[1], key[2], key[3]
-        if trivial is True:
-            fiber_h1 = h1_mod2(fiber_expr)
-            h1 = None if fiber_h1 is None else r + fiber_h1
-        else:
-            h1 = None
-        bound = isotopy_bound(n, h1)
-        verdict = pigeonhole([m["minimal_maslov"] for m in members], bound.bound)
+        verdict = pigeonhole_reports(members)
         out.append({
             "fiber": key[0],
-            "base_torus": r,
-            "trivial": trivial,
-            "dim_total": n,
+            "base_torus": key[1],
+            "trivial": key[2],
+            "dim_total": key[3],
             "count": len(members),
             "distinct_N": list(verdict.distinct_values),
-            "h1_rank": h1,
-            "smooth_bound": bound.bound,
+            "h1_rank": members[0].isotopy.h1_rank,
+            "smooth_bound": verdict.bound,
             "collision": verdict.collision,
         })
     if args.json:

@@ -42,8 +42,8 @@ class FamilyInstance:
     fiber: TopologyExpr
     orientable: bool
     trivial: bool | None
-    # constraints guarantee a valid bounded simple polytope, so the fiber
-    # classifier may skip the exponential vertex-based validation
+    # constraints guarantee a valid bounded simple polytope, so the
+    # reproduce harness may skip the exponential polytope gate
     validated: bool = True
 
 
@@ -97,7 +97,8 @@ def three_block(q: int, l: int, k: int, p: int, n: int) -> FamilyInstance:
     sys_ = _system(cols, (n - p + l, k - l - q, p - k + q))
     mu = (l + q - k, p - k + q, n - p + l)
     even = all(x % 2 == 0 for x in mu)
-    blocks_even = all(x % 2 == 0 for x in (q, l - q, k - l, p - k, n - p))
+    # the l-q and n-p blocks share the column (1,0,0): one coordinate class
+    blocks_even = all(x % 2 == 0 for x in (q, (l - q) + (n - p), k - l, p - k))
     return FamilyInstance(
         family="ex2",
         params=(("q", q), ("l", l), ("k", k), ("p", p), ("n", n)),

@@ -2,10 +2,10 @@
 
 For a trivial bundle the submanifold is (torus) x (fiber), so the rank of
 its first Z/2 cohomology is the number of quadrics plus the fiber's own
-rank. In the stable range (total dimension >= 5) the classification of
-embeddings of an n-manifold in C^n by tangential data gives at most
-2^rank smooth isotopy classes when n is even, and no finite bound when n
-is odd. Submanifolds in the same family share a diffeomorphism type, so
+rank (`topology.h1_mod2`). In the stable range (total dimension >= 5)
+the classification of embeddings of an n-manifold in C^n by tangential
+data gives at most 2^rank smooth isotopy classes when n is even, and no
+finite bound when n is odd. Submanifolds in the same family share a diffeomorphism type, so
 once more pairwise-distinct minimal pairing numbers are exhibited than the
 smooth bound allows, some pair must be smoothly isotopic while remaining
 inequivalent as exact submanifolds.
@@ -16,39 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .topology import (
-    ConnSum,
-    Disjoint,
-    Product,
-    Sphere,
-    SurfaceGenus,
-    TopologyExpr,
-    Torus,
-)
-
-__all__ = ["IsotopyBound", "PigeonholeReport", "h1_mod2", "isotopy_bound", "pigeonhole"]
-
-
-def h1_mod2(e: TopologyExpr) -> int | None:
-    """Rank of H^1(-; Z/2), or None when the expression is unknown."""
-    if isinstance(e, Sphere):
-        return 1 if e.dim == 1 else 0
-    if isinstance(e, Torus):
-        return e.dim
-    if isinstance(e, SurfaceGenus):
-        return 2 * e.genus
-    if isinstance(e, Product):
-        parts = [h1_mod2(f) for f in e.factors]
-        return None if any(p is None for p in parts) else sum(parts)
-    if isinstance(e, ConnSum):
-        # in dimension >= 3 the fundamental group is the free product of the
-        # summands'; surfaces have already been fused by normalization
-        parts = [h1_mod2(s) for s in e.summands]
-        return None if any(p is None for p in parts) else sum(parts)
-    if isinstance(e, Disjoint):
-        part = h1_mod2(e.part)
-        return None if part is None else e.copies * part
-    return None
+__all__ = ["IsotopyBound", "PigeonholeReport", "isotopy_bound", "pigeonhole"]
 
 
 @dataclass(frozen=True)

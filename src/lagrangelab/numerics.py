@@ -6,13 +6,15 @@ satisfy the quadrics, the standard symplectic form must vanish on tangent
 pairs, and the Liouville form integrated along a base loop must reproduce
 pi * <eps_i, delta>.
 
-Sampling goes through the dual polytope: an interior point x gives
-u_j = sign_j * sqrt(<a_j, x> + b_j), which lies on the quadrics to machine
-precision because gamma annihilates the normals. Tangent vectors to the
-image of psi split into fiber directions (a direction d in the polytope
-induces du_j = sign_j <a_j, d> / (2 sqrt(c_j))) and torus directions
-(i pi gamma_mj psi_j); both are exact up to rounding, so the symplectic
-residual genuinely measures the Lagrangian property, not sampling error.
+Sampling goes through the report's polytope and reuses its vertices: an
+interior point x gives u_j = sign_j * sqrt(<a_j, x> + b_j), which lies on
+the quadrics to machine precision because gamma annihilates the normals
+and maps the offsets to delta, for either input presentation. Tangent
+vectors to the image of psi split into fiber directions (a direction d in
+the polytope induces du_j = sign_j <a_j, d> / (2 sqrt(c_j))) and torus
+directions (i pi gamma_mj psi_j); both are exact up to rounding, so the
+symplectic residual genuinely measures the Lagrangian property, not
+sampling error.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gale import QuadricSystem, quadrics_to_polytope
-from .lattice import LatticeData, lattice_data
-from .polytope import enumerate_vertices
+from .gale import QuadricSystem
+from .report import LagrangianReport
 
 __all__ = ["NumericReport", "evaluate_psi", "numeric_report"]
 
@@ -72,25 +73,20 @@ def _liouville(z: np.ndarray, dz: np.ndarray) -> float:
 
 
 def numeric_report(
-    q: QuadricSystem,
-    lat: LatticeData | None = None,
+    rep: LagrangianReport,
     points: int = 8,
     pairs: int = 4,
     seed: int = 0,
     loop_samples: int = 65,
 ) -> NumericReport:
     """Seeded residual sweep; all maxima over `points` sampled points."""
-    if lat is None:
-        lat = lattice_data(q)
+    q, p, lat = rep.system, rep.polytope, rep.lattice
     rng = np.random.default_rng(seed)
     g = np.asarray(q.gamma.data, dtype=float)
     delta = np.asarray([float(d) for d in q.delta])
     r, n = g.shape
 
-    p = quadrics_to_polytope(q)
-    verts = np.asarray(
-        [[float(c) for c in v.point] for v in enumerate_vertices(p)]
-    )
+    verts = np.asarray([[float(c) for c in v.point] for v in rep.vertices])
     a = np.asarray(
         [[float(x) for x in p.normal(j)] for j in range(n)]
     )  # row j = a_j

@@ -36,6 +36,8 @@ __all__ = [
     "delzant_check",
     "fano_check",
     "require_flags",
+    "gate",
+    "normalize_normals",
 ]
 
 # Subset-enumeration guard: comb(n, dim) above this raises CapExceeded.
@@ -215,6 +217,32 @@ def require_flags(flags: StructuralFlags) -> None:
         raise StructuralError(
             "polytope rejected: " + ", ".join(flags.failing()) + " check failed"
         )
+
+
+def gate(p: PolytopePresentation) -> tuple[tuple[VertexData, ...], StructuralFlags]:
+    """Enumerate the vertices once and reject a polytope failing the
+    structural flags; the vertices are returned for reuse downstream."""
+    vertices = enumerate_vertices(p)
+    flags = structural_flags(p, vertices)
+    require_flags(flags)
+    return vertices, flags
+
+
+def normalize_normals(p: PolytopePresentation) -> PolytopePresentation:
+    """Divide every facet normal (and its offset) by the normal's gcd.
+
+    This keeps the point set but changes the associated quadric system:
+    the weights carried by non-primitive normals are deliberately dropped.
+    """
+    cols = []
+    offs = []
+    for i in range(p.n):
+        a = p.normal(i)
+        g = gcd_list(a) or 1
+        cols.append(tuple(x // g for x in a))
+        offs.append(p.offsets[i] / g)
+    rows = [tuple(c[t] for c in cols) for t in range(p.dim)]
+    return PolytopePresentation(IntMatrix.from_rows(rows), tuple(offs))
 
 
 def delzant_check(

@@ -6,6 +6,10 @@ quadric-side verdicts (injectivity into the torus quotient, monotonicity,
 pairing numbers). The two sides are computed independently and compared;
 a disagreement is an internal error, never silently resolved.
 
+The quadric-side chain (lattice, pairing numbers, fiber, fibration, mod-2
+rank, smooth-class bound) is `quadric_invariants`; the family harness
+behind `reproduce` and `scan` calls the same function.
+
 Two theorems are enforced as hard invariants:
   * the intersection embeds iff the polytope passes the vertex smoothness
     test (both are computed, a mismatch raises);
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InternalInvariantError, StructuralError
 from .fibration import FibrationReport, fibration_report
@@ -27,7 +32,7 @@ from .gale import (
     polytope_to_quadrics,
     quadrics_to_polytope,
 )
-from .isotopy import IsotopyBound, PigeonholeReport, h1_mod2, isotopy_bound, pigeonhole
+from .isotopy import IsotopyBound, PigeonholeReport, isotopy_bound, pigeonhole
 from .lattice import LatticeData, lattice_data
 from .maslov import MaslovReport, generator_report
 from .polytope import (
@@ -37,47 +42,40 @@ from .polytope import (
     StructuralFlags,
     VertexData,
     delzant_check,
-    enumerate_vertices,
     fano_check,
-    require_flags,
-    structural_flags,
+    gate,
 )
 from .topology import (
-    ConnSum,
-    Disjoint,
-    Product,
-    Sphere,
-    SurfaceGenus,
     TopologyExpr,
-    Torus,
     Unknown,
     classify_fiber,
     connectivity_bound,
+    expr_dict,
     expr_dim,
+    h1_mod2,
     render,
 )
 
 __all__ = [
     "LagrangianReport",
+    "QuadricInvariants",
     "check_polytope",
     "check_quadrics",
+    "frac_str",
     "pigeonhole_reports",
+    "quadric_invariants",
     "render_text",
     "report_dict",
+    "type_key",
 ]
 
 
 @dataclass(frozen=True)
-class LagrangianReport:
-    source: str  # "polytope" or "quadrics"
-    polytope: PolytopePresentation
+class QuadricInvariants:
+    """Everything computed from the quadric side alone; a full report adds
+    the polytope-side verdicts."""
+
     system: QuadricSystem
-    vertices: tuple[VertexData, ...]
-    flags: StructuralFlags
-    delzant: DelzantResult
-    embedding: EmbeddingResult
-    fano: FanoResult | None  # None when the check refused (non-primitive normals)
-    fano_refusal: str | None
     lattice: LatticeData
     maslov: MaslovReport
     fiber: TopologyExpr
@@ -86,6 +84,70 @@ class LagrangianReport:
     h1_rank: int | None  # mod-2 rank of the total space, when determined
     isotopy: IsotopyBound
     diagnostics: tuple[str, ...]
+
+
+def quadric_invariants(
+    q: QuadricSystem, vertices: tuple[VertexData, ...]
+) -> QuadricInvariants:
+    """The quadric-side chain of a gated system. `vertices` (the gate's) are
+    read only for the connectivity bound of an unclassified fiber; families
+    valid by construction skip the gate and pass ()."""
+    diagnostics: list[str] = []
+    lat = lattice_data(q)
+    maslov = generator_report(q, lat)
+
+    fiber = classify_fiber(q)
+    fiber_h1 = h1_mod2(fiber)
+    fiber_connectivity: int | None = None
+    if isinstance(fiber, Unknown):
+        j = connectivity_bound([v.active for v in vertices], q.n)
+        fiber_connectivity = j
+        fiber = Unknown(fiber.reason, connectivity=j)
+        diagnostics.append(
+            f"fiber not classified; it is at least {j - 1}-connected "
+            f"(every {j}-subset of facets meets)"
+        )
+    elif fiber_h1:
+        diagnostics.append(
+            "N computed from base generators; fiber classes contribute 0"
+        )
+
+    fibration = fibration_report(q, lat, maslov)
+    if fibration.trivial is True:
+        h1_rank = None if fiber_h1 is None else q.r + fiber_h1
+    else:
+        h1_rank = None
+        if fibration.trivial is None:
+            diagnostics.append(
+                "bundle triviality undetermined; no smooth-class bound claimed"
+            )
+        else:
+            diagnostics.append(
+                "total space not orientable: smooth-class bound inapplicable"
+            )
+    return QuadricInvariants(
+        system=q,
+        lattice=lat,
+        maslov=maslov,
+        fiber=fiber,
+        fiber_connectivity=fiber_connectivity,
+        fibration=fibration,
+        h1_rank=h1_rank,
+        isotopy=isotopy_bound(q.n, h1_rank),
+        diagnostics=tuple(diagnostics),
+    )
+
+
+@dataclass(frozen=True)
+class LagrangianReport(QuadricInvariants):
+    source: str  # "polytope" or "quadrics"
+    polytope: PolytopePresentation
+    vertices: tuple[VertexData, ...]
+    flags: StructuralFlags
+    delzant: DelzantResult
+    embedding: EmbeddingResult
+    fano: FanoResult | None  # None when the check refused (non-primitive normals)
+    fano_refusal: str | None
 
     @property
     def embedded(self) -> bool:
@@ -98,32 +160,14 @@ class LagrangianReport:
 
 
 def check_polytope(p: PolytopePresentation) -> LagrangianReport:
-    vertices = enumerate_vertices(p)
-    flags = structural_flags(p, vertices)
-    require_flags(flags)
+    vertices, flags = gate(p)
     return _assemble("polytope", p, vertices, flags, polytope_to_quadrics(p))
 
 
 def check_quadrics(q: QuadricSystem) -> LagrangianReport:
     p = quadrics_to_polytope(q)
-    vertices = enumerate_vertices(p)
-    flags = structural_flags(p, vertices)
-    require_flags(flags)
+    vertices, flags = gate(p)
     return _assemble("quadrics", p, vertices, flags, q)
-
-
-def _infinite_h1(e: TopologyExpr) -> bool:
-    if isinstance(e, (Torus, SurfaceGenus)):
-        return True
-    if isinstance(e, Sphere):
-        return e.dim == 1
-    if isinstance(e, Product):
-        return any(_infinite_h1(f) for f in e.factors)
-    if isinstance(e, ConnSum):
-        return any(_infinite_h1(s) for s in e.summands)
-    if isinstance(e, Disjoint):
-        return _infinite_h1(e.part)
-    return False
 
 
 def _assemble(
@@ -159,73 +203,39 @@ def _assemble(
         fano_refusal = str(exc)
         diagnostics.append(fano_refusal)
 
-    lat = lattice_data(q)
-    maslov = generator_report(q, lat)
+    inv = quadric_invariants(q, vertices)
     if delzant.is_delzant and fano is not None:
-        if fano.is_fano != maslov.monotone:
+        if fano.is_fano != inv.maslov.monotone:
             raise InternalInvariantError(
                 "reflexive-translation verdict disagrees with monotonicity: "
-                f"fano={fano.is_fano}, monotone={maslov.monotone}"
+                f"fano={fano.is_fano}, monotone={inv.maslov.monotone}"
             )
-        if fano.is_fano and fano.c != maslov.monotone_c:
+        if fano.is_fano and fano.c != inv.maslov.monotone_c:
             raise InternalInvariantError(
                 f"support constant {fano.c} differs from monotonicity "
-                f"constant {maslov.monotone_c}"
+                f"constant {inv.maslov.monotone_c}"
             )
-
-    fiber = classify_fiber(q, validated=True)
-    fiber_connectivity: int | None = None
-    if isinstance(fiber, Unknown):
-        j = connectivity_bound([v.active for v in vertices], q.n)
-        fiber_connectivity = j
-        fiber = Unknown(fiber.reason, connectivity=j)
-        diagnostics.append(
-            f"fiber not classified; it is at least {j - 1}-connected "
-            f"(every {j}-subset of facets meets)"
-        )
-    elif _infinite_h1(fiber):
-        diagnostics.append(
-            "N computed from base generators; fiber classes contribute 0"
-        )
-
-    fibration = fibration_report(q, lat, maslov)
-    if fibration.trivial is True:
-        fiber_h1 = h1_mod2(fiber)
-        h1_rank = None if fiber_h1 is None else q.r + fiber_h1
-    else:
-        h1_rank = None
-        if fibration.trivial is None:
-            diagnostics.append(
-                "bundle triviality undetermined; no smooth-class bound claimed"
-            )
-        else:
-            diagnostics.append(
-                "total space not orientable: smooth-class bound inapplicable"
-            )
-    isotopy = isotopy_bound(q.n, h1_rank)
 
     return LagrangianReport(
+        **{**vars(inv), "diagnostics": tuple(diagnostics) + inv.diagnostics},
         source=source,
         polytope=p,
-        system=q,
         vertices=vertices,
         flags=flags,
         delzant=delzant,
         embedding=embedding,
         fano=fano,
         fano_refusal=fano_refusal,
-        lattice=lat,
-        maslov=maslov,
-        fiber=fiber,
-        fiber_connectivity=fiber_connectivity,
-        fibration=fibration,
-        h1_rank=h1_rank,
-        isotopy=isotopy,
-        diagnostics=tuple(diagnostics),
     )
 
 
-def pigeonhole_reports(reports: list[LagrangianReport]) -> PigeonholeReport:
+def type_key(rep: QuadricInvariants) -> tuple:
+    """Diffeomorphism type of the total space: rendered fiber, number of
+    quadrics, triviality and ambient dimension."""
+    return (render(rep.fiber), rep.system.r, rep.fibration.trivial, rep.system.n)
+
+
+def pigeonhole_reports(reports: Sequence[QuadricInvariants]) -> PigeonholeReport:
     """Pigeonhole over a family sharing one diffeomorphism type.
 
     Raises ValueError when the reports mix types (fiber, number of
@@ -233,10 +243,7 @@ def pigeonhole_reports(reports: list[LagrangianReport]) -> PigeonholeReport:
     """
     if not reports:
         raise ValueError("no reports to compare")
-    keys = {
-        (render(r.fiber), r.system.r, r.fibration.trivial, r.system.n)
-        for r in reports
-    }
+    keys = {type_key(r) for r in reports}
     if len(keys) > 1:
         raise ValueError(
             "reports mix diffeomorphism types: " + "; ".join(
@@ -252,12 +259,12 @@ def pigeonhole_reports(reports: list[LagrangianReport]) -> PigeonholeReport:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _frac(x: Fraction) -> str:
+def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _point(pt: tuple[Fraction, ...]) -> str:
-    return "(" + ", ".join(_frac(c) for c in pt) + ")"
+    return "(" + ", ".join(frac_str(c) for c in pt) + ")"
 
 
 def render_text(rep: LagrangianReport) -> str:
@@ -284,14 +291,14 @@ def render_text(rep: LagrangianReport) -> str:
         lines.append("fano: refused — " + (rep.fano_refusal or ""))
     elif rep.fano.is_fano:
         lines.append(
-            f"fano: yes, c = {_frac(rep.fano.c)} at translation "
+            f"fano: yes, c = {frac_str(rep.fano.c)} at translation "
             f"{_point(rep.fano.translation)}"
         )
     else:
         lines.append(f"fano: no — {rep.fano.reason}")
     m = rep.maslov
     lines.append(
-        "monotone: " + (f"yes, delta = {_frac(m.monotone_c)} * t" if m.monotone else "no")
+        "monotone: " + (f"yes, delta = {frac_str(m.monotone_c)} * t" if m.monotone else "no")
     )
     lines.append(
         f"pairing indices mu = {m.mu} on generators from columns "
@@ -300,7 +307,7 @@ def render_text(rep: LagrangianReport) -> str:
     )
     lines.append(
         "areas (units of pi/2): ("
-        + ", ".join(_frac(a) for a in m.area_half_pi) + ")"
+        + ", ".join(frac_str(a) for a in m.area_half_pi) + ")"
     )
     d = expr_dim(rep.fiber)
     lines.append(
@@ -326,24 +333,6 @@ def render_text(rep: LagrangianReport) -> str:
     return "\n".join(lines)
 
 
-def _expr_dict(e: TopologyExpr):
-    if isinstance(e, Sphere):
-        return {"sphere": e.dim}
-    if isinstance(e, Torus):
-        return {"torus": e.dim}
-    if isinstance(e, SurfaceGenus):
-        return {"surface_genus": e.genus}
-    if isinstance(e, Product):
-        return {"product": [_expr_dict(f) for f in e.factors]}
-    if isinstance(e, ConnSum):
-        return {"connected_sum": [_expr_dict(s) for s in e.summands]}
-    if isinstance(e, Disjoint):
-        return {"disjoint_copies": e.copies, "part": _expr_dict(e.part)}
-    if isinstance(e, Unknown):
-        return {"unknown": e.reason, "connectivity": e.connectivity}
-    raise TypeError(f"not a TopologyExpr: {e!r}")
-
-
 def report_dict(rep: LagrangianReport) -> dict:
     """JSON-ready dictionary; rationals as 'p/q' strings or ints."""
     q, m = rep.system, rep.maslov
@@ -351,9 +340,9 @@ def report_dict(rep: LagrangianReport) -> dict:
         "schema": 1,
         "source": rep.source,
         "gamma": [list(row) for row in q.gamma.data],
-        "delta": [_frac(d) for d in q.delta],
+        "delta": [frac_str(d) for d in q.delta],
         "normals": [list(rep.polytope.normal(i)) for i in range(rep.polytope.n)],
-        "offsets": [_frac(b) for b in rep.polytope.offsets],
+        "offsets": [frac_str(b) for b in rep.polytope.offsets],
         "flags": {
             "nonempty": rep.flags.nonempty,
             "bounded": rep.flags.bounded,
@@ -362,22 +351,22 @@ def report_dict(rep: LagrangianReport) -> dict:
             "primitive_normals": rep.flags.primitive_normals,
         },
         "vertices": [
-            {"point": [_frac(c) for c in v.point], "active": list(v.active)}
+            {"point": [frac_str(c) for c in v.point], "active": list(v.active)}
             for v in rep.vertices
         ],
         "delzant": rep.delzant.is_delzant,
         "embedded": rep.embedded,
-        "fano": None if rep.fano is None or not rep.fano.is_fano else _frac(rep.fano.c),
+        "fano": None if rep.fano is None or not rep.fano.is_fano else frac_str(rep.fano.c),
         "fano_refused": rep.fano_refusal,
-        "monotone": None if not m.monotone else _frac(m.monotone_c),
+        "monotone": None if not m.monotone else frac_str(m.monotone_c),
         "maslov": {
             "t": list(m.t),
             "mu": list(m.mu),
-            "area_half_pi": [_frac(a) for a in m.area_half_pi],
+            "area_half_pi": [frac_str(a) for a in m.area_half_pi],
             "minimal_maslov": m.minimal_maslov,
         },
         "basis_columns": list(rep.lattice.basis_columns),
-        "fiber": _expr_dict(rep.fiber),
+        "fiber": expr_dict(rep.fiber),
         "fiber_rendered": render(rep.fiber),
         "fibration": {
             "flips": [list(row) for row in rep.fibration.flips],
@@ -395,7 +384,7 @@ def report_dict(rep: LagrangianReport) -> dict:
     }
     if rep.delzant.witness is not None:
         out["delzant_witness"] = {
-            "point": [_frac(c) for c in rep.delzant.witness.point],
+            "point": [frac_str(c) for c in rep.delzant.witness.point],
             "active": list(rep.delzant.witness.active),
             "index": rep.delzant.witness_index,
         }

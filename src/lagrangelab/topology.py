@@ -15,6 +15,12 @@ Dispatch, in order of precedence:
     products (l >= 2);
   * otherwise Unknown (callers attach a connectivity bound).
 
+The classifier trusts its input: callers run the polytope gate
+(`polytope.gate`) on the dual polytope first, or know the system to be
+valid by construction. Every function that dispatches on the expression
+node classes lives in this module: rendering, normalization, dimension,
+mod-2 first cohomology rank and the JSON form.
+
 Everything uses exact rational arithmetic; no angles are ever computed
 numerically (the cyclic order uses half-plane + cross-product comparisons).
 """
@@ -35,7 +41,7 @@ from .gale import QuadricSystem
 
 __all__ = [
     "TopologyExpr", "Sphere", "Torus", "SurfaceGenus", "Product", "ConnSum",
-    "Disjoint", "Unknown", "normalize", "render", "expr_dim",
+    "Disjoint", "Unknown", "normalize", "render", "expr_dim", "expr_dict", "h1_mod2",
     "ThreeQuadricsConfig", "three_quadrics_normal_form", "merge_fixpoint",
     "classify_fiber", "classify_three_quadrics", "truncation_rule",
     "connectivity_bound",
@@ -125,6 +131,47 @@ def render(e: TopologyExpr) -> str:
     if isinstance(e, Unknown):
         return f"Unknown[{e.reason}]"
     raise TypeError(f"not a TopologyExpr: {e!r}")
+
+
+def expr_dict(e: TopologyExpr):
+    """JSON-ready form of an expression."""
+    if isinstance(e, Sphere):
+        return {"sphere": e.dim}
+    if isinstance(e, Torus):
+        return {"torus": e.dim}
+    if isinstance(e, SurfaceGenus):
+        return {"surface_genus": e.genus}
+    if isinstance(e, Product):
+        return {"product": [expr_dict(f) for f in e.factors]}
+    if isinstance(e, ConnSum):
+        return {"connected_sum": [expr_dict(s) for s in e.summands]}
+    if isinstance(e, Disjoint):
+        return {"disjoint_copies": e.copies, "part": expr_dict(e.part)}
+    if isinstance(e, Unknown):
+        return {"unknown": e.reason, "connectivity": e.connectivity}
+    raise TypeError(f"not a TopologyExpr: {e!r}")
+
+
+def h1_mod2(e: TopologyExpr) -> int | None:
+    """Rank of H^1(-; Z/2), or None when the expression is unknown."""
+    if isinstance(e, Sphere):
+        return 1 if e.dim == 1 else 0
+    if isinstance(e, Torus):
+        return e.dim
+    if isinstance(e, SurfaceGenus):
+        return 2 * e.genus
+    if isinstance(e, Product):
+        parts = [h1_mod2(f) for f in e.factors]
+        return None if any(p is None for p in parts) else sum(parts)
+    if isinstance(e, ConnSum):
+        # in dimension >= 3 the fundamental group is the free product of the
+        # summands'; surfaces have already been fused by normalization
+        parts = [h1_mod2(s) for s in e.summands]
+        return None if any(p is None for p in parts) else sum(parts)
+    if isinstance(e, Disjoint):
+        part = h1_mod2(e.part)
+        return None if part is None else e.copies * part
+    return None
 
 
 def _wrap(e: TopologyExpr) -> str:
@@ -258,7 +305,6 @@ class ThreeQuadricsConfig:
     total: Fraction  # D = <w, delta>, positive
     rows_used: tuple[int, int]
     classes: tuple[tuple[tuple[Fraction, Fraction], int], ...]
-    regular: bool
 
 
 def _positivity(q: QuadricSystem) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], Fraction]:
@@ -344,7 +390,7 @@ def three_quadrics_normal_form(q: QuadricSystem) -> ThreeQuadricsConfig:
             )
     return ThreeQuadricsConfig(
         w=tuple(w), scale=s, total=d, rows_used=(i2, i3),
-        classes=tuple(classes), regular=True,
+        classes=tuple(classes),
     )
 
 
@@ -475,18 +521,9 @@ def classify_three_quadrics(q: QuadricSystem) -> TopologyExpr:
 # dispatch, truncation, connectivity
 # ---------------------------------------------------------------------------
 
-def classify_fiber(q: QuadricSystem, validated: bool = False) -> TopologyExpr:
-    """Topology of the quadric intersection.
-
-    With validated=False the dual polytope is enumerated and required to
-    pass the structural flags first (exact, but exponential in the number
-    of facets); family builders that guarantee validity pass validated=True.
-    """
-    if not validated:
-        from .polytope import enumerate_vertices, require_flags, structural_flags
-        from .gale import quadrics_to_polytope
-        p = quadrics_to_polytope(q)
-        require_flags(structural_flags(p, enumerate_vertices(p)))
+def classify_fiber(q: QuadricSystem) -> TopologyExpr:
+    """Topology of the quadric intersection of a gated (or valid by
+    construction) system; no polytope validation happens here."""
     if q.dim == 2:
         m = q.n
         if m == 3:

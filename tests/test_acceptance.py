@@ -20,12 +20,12 @@ from lagrangelab.exactlinalg import IntMatrix
 from lagrangelab.families import build
 from lagrangelab.fibration import fibration_report
 from lagrangelab.gale import polytope_to_quadrics
-from lagrangelab.isotopy import h1_mod2, isotopy_bound, pigeonhole
+from lagrangelab.isotopy import isotopy_bound, pigeonhole
 from lagrangelab.lattice import lattice_data
 from lagrangelab.maslov import generator_report
 from lagrangelab.numerics import numeric_report
 from lagrangelab.polytope import PolytopePresentation
-from lagrangelab.report import check_polytope
+from lagrangelab.report import check_polytope, check_quadrics
 from lagrangelab.topology import (
     ConnSum,
     Product,
@@ -33,6 +33,7 @@ from lagrangelab.topology import (
     SurfaceGenus,
     Torus,
     classify_fiber,
+    h1_mod2,
     normalize,
     truncation_rule,
 )
@@ -123,7 +124,7 @@ def test_criterion_04_three_block():
             inst = build("ex2", q=12, l=l, k=36, p=120, n=144)
             got.add(quick_maslov(inst).minimal_maslov)
             if l == 26:
-                fib = classify_fiber(inst.system, validated=True)
+                fib = classify_fiber(inst.system)
                 assert fib == Product((Sphere(11), Sphere(47), Sphere(83)))
         # the top grid value has no system of this block shape (the middle
         # block would need negative size), so the builder refuses it and the
@@ -147,7 +148,7 @@ def test_criterion_05_five_fold():
             for qv in range(2, p, 2):
                 inst = build("th4", p=p, q=qv)
                 assert quick_maslov(inst).minimal_maslov == gcd(p, qv)
-                assert classify_fiber(inst.system, validated=True) == expected_fiber
+                assert classify_fiber(inst.system) == expected_fiber
         values = set()
         h1 = None
         for qv in (2, 4, 6, 8, 12, 16, 24, 32, 48, 96):
@@ -157,7 +158,7 @@ def test_criterion_05_five_fold():
             values.add(rep.minimal_maslov)
             fr = fibration_report(inst.system, lat, rep)
             assert fr.trivial is True
-            h1 = inst.system.r + h1_mod2(classify_fiber(inst.system, validated=True))
+            h1 = inst.system.r + h1_mod2(classify_fiber(inst.system))
         assert values == {2, 4, 6, 8, 12, 16, 24, 32, 48, 96}
         bound = isotopy_bound(960, h1)
         assert bound.bound == 8
@@ -217,8 +218,8 @@ def test_criterion_09_numeric_spot_check():
         ))
         two_block = build("ex1", p=4, n=10, k=0).system
         for q in (pentagon, two_block):
-            rep = numeric_report(q, seed=0)
-            again = numeric_report(q, seed=0)
+            rep = numeric_report(check_quadrics(q), seed=0)
+            again = numeric_report(check_quadrics(q), seed=0)
             assert rep == again  # seeded and deterministic
             assert rep.within(1e-9, 1e-8, 1e-6), rep
 
@@ -234,7 +235,7 @@ def test_criterion_10_truncation_chain():
             IntMatrix.from_rows([(1, 0, -1, 0), (0, 1, 0, -1)]),
             (Fraction(0), Fraction(0), Fraction(1), Fraction(1)),
         )
-        start = classify_fiber(polytope_to_quadrics(square), validated=True)
+        start = classify_fiber(polytope_to_quadrics(square))
         assert start == Torus(2)
         step5 = normalize(truncation_rule(start, 2, 4))
         assert step5 == SurfaceGenus(closed[5])
@@ -245,9 +246,9 @@ def test_criterion_10_truncation_chain():
             IntMatrix.from_rows([(1, 0, -1, 0, -1), (0, 1, 0, -1, -1)]),
             (Fraction(1),) * 5,
         )
-        assert classify_fiber(polytope_to_quadrics(pentagon), validated=True) == step5
+        assert classify_fiber(polytope_to_quadrics(pentagon)) == step5
         hexagon = build("th5")
-        assert classify_fiber(hexagon.system, validated=True) == step6
+        assert classify_fiber(hexagon.system) == step6
 
     run_criterion(10, "truncation chain: torus -> genus 5 -> genus 17 matches"
                       " the classifier", body)

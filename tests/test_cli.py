@@ -1,10 +1,13 @@
 """Command-line behavior: formats, exit codes, family tables."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
-from lagrangelab.cli import main
+from lagrangelab import polytope
+from lagrangelab.cli import main, parse_input
 
 PENTAGON = {
     "schema": 1,
@@ -22,6 +25,13 @@ WEIGHTED = {
     "kind": "polytope",
     "normals": [[1, 0], [0, 1], [-3, 0], [0, -7], [-1, -6]],
     "offsets": [0, 0, 4, 8, 8],
+}
+
+# four quadrics: the fiber is Unknown and gets a connectivity bound
+TRUNCATED_CUBE = {
+    "kind": "polytope",
+    "normals": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]],
+    "offsets": [0, 1, 0, 1, 0, 1, "-1/4"],
 }
 
 
@@ -107,6 +117,43 @@ def test_topology_command(tmp_path, capsys):
     assert "Sigma_5" in capsys.readouterr().out
     assert main(["topology", write(tmp_path, TWO_BLOCK)]) == 0
     assert "S^3 x S^5" in capsys.readouterr().out
+
+    redundant_cut = {
+        "kind": "polytope",
+        "normals": [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1]],
+        "offsets": [0, 0, 1, 1, 10],
+    }
+    assert main(["topology", write(tmp_path, redundant_cut)]) == 2
+    assert "irredundant" in capsys.readouterr().err
+
+
+def test_one_vertex_enumeration_per_op(tmp_path, capsys, monkeypatch):
+    original = polytope.enumerate_vertices
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # patch every lagrangelab module that binds the function
+    for name, module in list(sys.modules.items()):
+        if name == "lagrangelab" or name.startswith("lagrangelab."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert main(["check", write(tmp_path, PENTAGON)]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["topology", write(tmp_path, TRUNCATED_CUBE)]) == 0
+    assert "at least 0-connected" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_parse_input_number_forms():
+    doc = dict(PENTAGON, offsets=[1, "3/4", "0.5", "1e3", "-2"])
+    assert parse_input(json.dumps(doc)).offsets == (
+        1, Fraction(3, 4), Fraction(1, 2), 1000, -2,
+    )
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -14,6 +14,7 @@ from lagrangelab.polytope import (
     delzant_check,
     enumerate_vertices,
     fano_check,
+    gate,
     structural_flags,
 )
 from lagrangelab.topology import ConnSum, Product, Sphere, SurfaceGenus, classify_fiber, normalize
@@ -28,11 +29,13 @@ def pipeline(inst):
 
 def check_closed_forms(inst):
     """Pipeline values must reproduce the closed forms stored on the instance."""
+    if not inst.validated:
+        gate(quadrics_to_polytope(inst.system))  # raises on a rejected polytope
     lat, mas, fib = pipeline(inst)
     assert mas.minimal_maslov == inst.minimal_maslov
     assert fib.orientable == inst.orientable
     assert fib.trivial == inst.trivial
-    got = classify_fiber(inst.system, validated=inst.validated)
+    got = classify_fiber(inst.system)
     assert got == normalize(inst.fiber)
     return lat, mas, fib
 
@@ -67,6 +70,18 @@ def test_two_block_mixed_parity():
     check_closed_forms(inst)
 
 
+# every ex2 point with q <= 5, l <= 8, k <= 10, p <= 14, n <= 18 whose l-q
+# and n-p blocks are both odd while the other blocks are even
+EX2_ODD_SHARED_BLOCKS = (
+    (2, 3, 3, 7, 8), (2, 3, 3, 9, 10), (2, 3, 3, 9, 12), (2, 3, 3, 11, 12),
+    (2, 3, 3, 11, 14), (2, 3, 3, 11, 16), (2, 3, 3, 13, 14), (2, 3, 3, 13, 16),
+    (2, 3, 3, 13, 18), (2, 5, 5, 11, 12), (2, 5, 5, 13, 14), (2, 5, 5, 13, 16),
+    (4, 5, 5, 9, 10), (4, 5, 5, 11, 12), (4, 5, 5, 11, 14), (4, 5, 5, 13, 14),
+    (4, 5, 5, 13, 16), (4, 5, 5, 13, 18), (4, 5, 7, 11, 12), (4, 5, 7, 13, 14),
+    (4, 5, 7, 13, 16), (4, 7, 7, 13, 14),
+)
+
+
 def test_three_block_instance():
     inst = build("ex2", q=8, l=10, k=16, p=24, n=26)
     assert inst.system.delta == (12, -2, 16)
@@ -78,6 +93,12 @@ def test_three_block_instance():
     assert mas.mu == (2, 16, 12)
     # the two (1,0,0) blocks are one coordinate class
     assert (8, 9, 24, 25) in fib.coordinate_classes
+    # so triviality needs that class even, not each block: both blocks odd
+    for q, l, k, p, n in EX2_ODD_SHARED_BLOCKS:
+        inst = build("ex2", q=q, l=l, k=k, p=p, n=n)
+        assert (l - q) % 2 == 1 and (n - p) % 2 == 1
+        assert inst.trivial is True
+        check_closed_forms(inst)
 
 
 def test_three_block_empty_middle():

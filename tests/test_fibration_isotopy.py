@@ -7,7 +7,7 @@ import pytest
 from lagrangelab.exactlinalg import IntMatrix
 from lagrangelab.fibration import fibration_report
 from lagrangelab.gale import QuadricSystem
-from lagrangelab.isotopy import IsotopyBound, h1_mod2, isotopy_bound, pigeonhole
+from lagrangelab.isotopy import IsotopyBound, isotopy_bound, pigeonhole
 from lagrangelab.lattice import lattice_data
 from lagrangelab.maslov import generator_report
 from lagrangelab.topology import (
@@ -18,6 +18,7 @@ from lagrangelab.topology import (
     SurfaceGenus,
     Torus,
     Unknown,
+    h1_mod2,
 )
 
 

@@ -6,6 +6,7 @@ import pytest
 from lagrangelab.families import build
 from lagrangelab.lattice import lattice_data
 from lagrangelab.numerics import evaluate_psi, numeric_report
+from lagrangelab.report import check_quadrics
 
 
 def test_psi_evaluation():
@@ -19,8 +20,7 @@ def test_psi_evaluation():
 
 
 def test_pentagon_residuals():
-    q = build("th3").system
-    rep = numeric_report(q, points=8, pairs=4, seed=11)
+    rep = numeric_report(check_quadrics(build("th3").system), points=8, pairs=4, seed=11)
     assert rep.max_quadric_residual <= 1e-9
     assert rep.max_omega_residual <= 1e-8
     assert rep.max_loop_relative_error <= 1e-6
@@ -28,17 +28,17 @@ def test_pentagon_residuals():
 
 
 def test_two_block_residuals():
-    q = build("ex1", p=4, n=10, k=0).system
-    rep = numeric_report(q, points=8, pairs=4, seed=7)
+    rep = numeric_report(check_quadrics(build("ex1", p=4, n=10, k=0).system),
+                         points=8, pairs=4, seed=7)
     assert rep.within()
 
 
 def test_determinism():
-    q = build("th3").system
-    a = numeric_report(q, seed=3)
-    b = numeric_report(q, seed=3)
+    report = check_quadrics(build("th3").system)
+    a = numeric_report(report, seed=3)
+    b = numeric_report(report, seed=3)
     assert a == b
-    c = numeric_report(q, seed=4)
+    c = numeric_report(report, seed=4)
     assert c != a  # different sample, same verdict
     assert c.within()
 
