@@ -55,23 +55,31 @@ __all__ = ["main", "parse_input"]
 
 
 _RATIONAL_FORMS = "an integer or a 'p/q', decimal ('0.5') or exponent ('1e3') string"
+# input numbers must stay in float range for the numeric spot check
+_FLOAT_BOUND = 2**1024
 
 
 def _rational(value, where: str) -> Fraction:
     if isinstance(value, bool):
         raise UsageError(f"{where}: expected {_RATIONAL_FORMS}")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+        x = Fraction(value)
+    elif isinstance(value, str):
         try:
-            return Fraction(value)
+            x = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise UsageError(
                 f"{where}: bad rational {value!r} (expected {_RATIONAL_FORMS})"
             ) from None
-    raise UsageError(
-        f"{where}: expected {_RATIONAL_FORMS}, got {type(value).__name__}"
-    )
+    else:
+        raise UsageError(
+            f"{where}: expected {_RATIONAL_FORMS}, got {type(value).__name__}"
+        )
+    if abs(x.numerator) >= _FLOAT_BOUND or x.denominator >= _FLOAT_BOUND:
+        raise UsageError(
+            f"{where}: numerator and denominator must be below 2**1024 in absolute value"
+        )
+    return x
 
 
 def _int_matrix_rows(rows, where: str) -> IntMatrix:
@@ -83,6 +91,8 @@ def _int_matrix_rows(rows, where: str) -> IntMatrix:
         for x in row:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise UsageError(f"{where}: entries must be integers, got {x!r}")
+            if abs(x) >= _FLOAT_BOUND:
+                raise UsageError(f"{where}: entries must be below 2**1024 in absolute value")
     try:
         return IntMatrix.from_rows([tuple(r) for r in rows])
     except ValueError as exc:
@@ -97,6 +107,8 @@ def parse_input(text: str) -> PolytopePresentation | QuadricSystem:
         raise UsageError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise UsageError("parse error: integer literal too long") from None
     if not isinstance(doc, dict):
         raise UsageError("input must be a JSON object")
     if doc.get("schema", 1) != 1:
@@ -154,6 +166,8 @@ def _cmd_check(args) -> int:
         if args.normalize_normals:
             parsed = normalize_normals(parsed)
         rep = check_polytope(parsed)
+    elif args.normalize_normals:
+        raise UsageError("--normalize-normals applies to polytope inputs only")
     else:
         rep = check_quadrics(parsed)
     numeric = numeric_report(rep, seed=args.seed)
@@ -405,10 +419,13 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="full report on one input file")
     chk.add_argument("file")
     chk.add_argument("--json", action="store_true")
-    chk.add_argument("--tol-membership", type=float, default=1e-9)
+    chk.add_argument("--tol-membership", type=float, default=1e-9,
+                     help="bound on the relative quadric residual "
+                          "|gamma_m u^2 - delta_m| / max(1, |delta_m|)")
     chk.add_argument("--tol-lagrangian", type=float, default=1e-8)
     chk.add_argument("--normalize-normals", action="store_true",
-                     help="divide facet normals by their gcd before analysis")
+                     help="divide facet normals by their gcd before analysis "
+                          "(polytope inputs only)")
     chk.add_argument("--seed", type=int, default=0)
     chk.set_defaults(func=_cmd_check)
 

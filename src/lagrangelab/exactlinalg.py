@@ -4,6 +4,10 @@ Everything here is exact: integer matrices use Python ints, rational results
 use fractions.Fraction. No floating point enters any verdict computed from
 these routines.
 
+det, rational_rank and solve_rational share one fraction-free (Bareiss)
+elimination over the integers; Fractions appear only at the API boundary,
+in scaled input rows and in solve_rational's result.
+
 Conventions:
   * matrices are row-major IntMatrix values (immutable),
   * hnf() is a row-style Hermite normal form: pivots positive, entries above
@@ -16,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -259,58 +264,60 @@ def integer_kernel(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(nonzero, m.cols) if nonzero else IntMatrix((), m.cols)
 
 
-def _to_frac_rows(m: IntMatrix | Sequence[Sequence[int | Fraction]]) -> list[list[Fraction]]:
-    rows = m.data if isinstance(m, IntMatrix) else m
-    return [[Fraction(x) for x in row] for row in rows]
+def _echelon(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of integer rows, in place.
+
+    Least-index pivot columns, first usable row swapped up, columns without
+    a pivot skipped. Each entry is a minor of the input, so the division by
+    the previous pivot is exact. Returns the pivot columns (pivot k in row
+    k) and the row-swap sign."""
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        # entries left of c are zero in rows r.., and column c cancels
+        for i in range(r + 1, nrows):
+            f = a[i][c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def _scaled_rows(m: IntMatrix | Sequence[Sequence[int | Fraction]]) -> list[list[int]]:
+    """Integer rows, each scaled by the lcm of its denominators."""
+    out = []
+    for row in m.data if isinstance(m, IntMatrix) else m:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
 
 
 def rational_rank(m: IntMatrix | Sequence[Sequence[int | Fraction]]) -> int:
-    a = _to_frac_rows(m)
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pr = a[rank]
-        inv = 1 / pr[c]
-        a[rank] = [x * inv for x in pr]
-        for i in range(len(a)):
-            if i != rank and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    return len(_echelon(_scaled_rows(m))[0])
 
 
-def det(m: IntMatrix) -> int:
+def det(m: IntMatrix | Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = m.rows
-    if n != m.cols:
+    a = [list(map(operator.index, row)) for row in (m.data if isinstance(m, IntMatrix) else m)]
+    n = len(a)
+    if any(len(row) != n for row in a) or isinstance(m, IntMatrix) and m.cols != n:
         raise ValueError("det needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    pivots, sign = _echelon(a)
+    if len(pivots) < n:
+        return 0
+    return sign * a[-1][-1] if n else 1
 
 
 def is_unimodular(m: IntMatrix) -> bool:
@@ -326,39 +333,20 @@ def solve_rational(
     Pivoting is least-index (columns left to right, first usable row), and
     free variables are set to 0, so the particular solution is deterministic.
     """
-    a = _to_frac_rows(m)
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    if len(v) != nrows:
+    rows = m.data if isinstance(m, IntMatrix) else m
+    if len(v) != len(rows):
         raise ValueError("rhs length mismatch")
-    rhs = [Fraction(x) for x in v]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        rhs[r], rhs[piv] = rhs[piv], rhs[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        rhs[r] *= inv
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                rhs[i] -= f * rhs[r]
-        pivots.append((r, c))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rhs[i] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = rhs[row]
-    return tuple(x)
+    a = _scaled_rows([(*row, b) for row, b in zip(rows, v)])
+    ncols = len(a[0]) - 1 if a else 0
+    pivots, _ = _echelon(a)
+    if pivots and pivots[-1] == ncols:
+        return None  # a pivot in the right-hand side: rank [m|v] > rank m
+    # numerators over the last pivot d, which makes d * x integral (Cramer)
+    d = a[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * ncols
+    for k, c in reversed(list(enumerate(pivots))):
+        y[c] = (d * a[k][ncols] - sum(a[k][j] * y[j] for j in pivots[k + 1:])) // a[k][c]
+    return tuple(Fraction(t, d) for t in y)
 
 
 def _coordinates_in(basis_rows: list[tuple[int, ...]], pivcols: list[int],

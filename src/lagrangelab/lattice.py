@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded, InternalInvariantError, StructuralError
-from .exactlinalg import IntMatrix, det, solve_rational
+from .exactlinalg import IntMatrix, det, rational_rank, solve_rational
 from .gale import QuadricSystem
 
 __all__ = ["LatticeData", "lattice_data"]
@@ -40,18 +40,6 @@ def _column_submatrix(q: QuadricSystem, cols: tuple[int, ...]) -> IntMatrix:
     )
 
 
-def _reduce(vec: list[Fraction], echelon: list[list[Fraction]]) -> list[Fraction]:
-    """Eliminate vec against echelonized rows; the residue is nonzero iff
-    vec is independent of them."""
-    out = list(vec)
-    for row in echelon:
-        pivot = next(i for i, x in enumerate(row) if x != 0)
-        if out[pivot] != 0:
-            factor = out[pivot] / row[pivot]
-            out = [a - factor * b for a, b in zip(out, row)]
-    return out
-
-
 def _find_basis_columns(q: QuadricSystem, cap: int) -> tuple[int, ...] | None:
     """First r-subset of column indices, in lexicographic order over the
     reversed index list, whose columns have |det| = 1.
@@ -60,16 +48,15 @@ def _find_basis_columns(q: QuadricSystem, cap: int) -> tuple[int, ...] | None:
     every branch whose chosen prefix is already linearly dependent (no
     completion of a dependent prefix can be unimodular), which turns the
     blocks of repeated columns common in families from a combinatorial
-    explosion into a linear walk. The cap counts visited nodes.
+    explosion into a linear walk. A prefix is tested by rational_rank, a
+    full subset by det alone. The cap counts visited nodes.
     """
     r, n = q.r, q.n
     reversed_indices = tuple(range(n - 1, -1, -1))
-    columns = [
-        [Fraction(q.gamma.data[i][j]) for i in range(r)] for j in range(n)
-    ]
+    columns = q.gamma.transpose().data
     examined = 0
 
-    def descend(start: int, chosen: list[int], echelon: list[list[Fraction]]):
+    def descend(start: int, chosen: list[int]):
         nonlocal examined
         for pos in range(start, n - (r - len(chosen) - 1)):
             examined += 1
@@ -77,23 +64,18 @@ def _find_basis_columns(q: QuadricSystem, cap: int) -> tuple[int, ...] | None:
                 raise CapExceeded(
                     f"basis search examined more than {cap} column prefixes"
                 )
-            j = reversed_indices[pos]
-            residue = _reduce(columns[j], echelon)
-            if all(x == 0 for x in residue):
-                continue
-            chosen.append(j)
-            if len(chosen) == r:
-                cols = tuple(sorted(chosen))
-                if abs(det(_column_submatrix(q, cols))) == 1:
-                    return cols
-            else:
-                found = descend(pos + 1, chosen, echelon + [residue])
+            cand = chosen + [reversed_indices[pos]]
+            rows = [columns[i] for i in cand]
+            if len(cand) == r:
+                if abs(det(rows)) == 1:
+                    return tuple(sorted(cand))
+            elif rational_rank(rows) == len(cand):
+                found = descend(pos + 1, cand)
                 if found is not None:
                     return found
-            chosen.pop()
         return None
 
-    return descend(0, [], [])
+    return descend(0, [])
 
 
 def lattice_data(q: QuadricSystem, cap: int = CANDIDATE_CAP) -> LatticeData:

@@ -33,7 +33,7 @@ __all__ = ["NumericReport", "evaluate_psi", "numeric_report"]
 class NumericReport:
     points: int
     pairs: int
-    max_quadric_residual: float
+    max_quadric_residual: float  # |gamma_m u^2 - delta_m| / max(1, |delta_m|)
     max_omega_residual: float
     max_loop_relative_error: float
 
@@ -96,6 +96,9 @@ def numeric_report(
     eps_rows = np.asarray(
         [[float(e) for e in eps] for eps in lat.dual_basis]
     )
+    # float error in gamma u^2 grows with |delta|, so the residual is
+    # relative, like the loop error
+    delta_scale = np.maximum(1.0, np.abs(delta))
     loop_targets = np.pi * (eps_rows @ delta)
     windings = eps_rows @ g  # <eps_i, gamma_j>, integral in exact arithmetic
 
@@ -112,7 +115,9 @@ def numeric_report(
         phi = rng.uniform(0.0, 2.0, size=r)
         psi = evaluate_psi(q, u, phi)
 
-        max_quadric = max(max_quadric, float(np.abs(g @ (u * u) - delta).max()))
+        max_quadric = max(
+            max_quadric, float((np.abs(g @ (u * u) - delta) / delta_scale).max())
+        )
 
         phase = np.exp(1j * np.pi * (g.T @ phi))
         tangents = [1j * np.pi * g[m] * psi for m in range(r)]

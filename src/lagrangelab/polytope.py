@@ -2,7 +2,8 @@
 
 The presentation carries integer facet normals a_i (columns of `normals`)
 and rational offsets b_i. All verdicts are exact; vertex enumeration solves
-dim x dim systems over Fraction for every candidate subset of facets.
+a dim x dim system by fraction-free integer elimination for every candidate
+subset of facets, and checks each candidate point over Fraction.
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ def enumerate_vertices(
         raise CapExceeded(
             f"vertex enumeration over comb({n}, {dim}) subsets exceeds the cap {cap}"
         )
-    at = p.normals.transpose()  # rows are the a_i
+    at = p.normals.transpose().data  # rows are the a_i
     found: dict[tuple[Fraction, ...], None] = {}
     for subset in combinations(range(n), dim):
-        sub = IntMatrix.from_rows([at.data[i] for i in subset], dim)
+        sub = [at[i] for i in subset]
         if det(sub) == 0:
             continue
         rhs = [-p.offsets[i] for i in subset]

@@ -8,6 +8,7 @@ import pytest
 
 from lagrangelab import polytope
 from lagrangelab.cli import main, parse_input
+from lagrangelab.errors import UsageError
 
 PENTAGON = {
     "schema": 1,
@@ -64,6 +65,13 @@ def test_check_pentagon_json(tmp_path, capsys):
     assert data["fibration"]["orientable"] is False
     assert data["numeric"]["max_quadric_residual"] <= 1e-9
     assert data["numeric"]["max_omega_residual"] <= 1e-8
+    # the quadric residual is relative, so large offsets pass the default
+    # tolerance (absolute residuals: 3.7e-9 at 1e7, 4.9e-4 at 1e12)
+    for big in ("1e7", "1e12"):
+        scaled = dict(PENTAGON, offsets=[big] * 5)
+        assert main(["check", write(tmp_path, scaled), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["numeric"]["max_quadric_residual"] <= 1e-9
 
 
 def test_check_quadrics_json(tmp_path, capsys):
@@ -98,6 +106,11 @@ def test_normalize_normals_drops_weights(tmp_path, capsys):
     assert data["fano_refused"] is None
     assert data["fano"] is None
     assert data["flags"]["primitive_normals"] is True
+    # the flag rescales normals, so on a quadric input it is refused
+    assert main(["gale", path, "--json"]) == 0
+    quad = write(tmp_path, json.loads(capsys.readouterr().out), "q.json")
+    assert main(["check", quad, "--normalize-normals"]) == 1
+    assert "polytope inputs" in capsys.readouterr().err
 
 
 def test_gale_round_trip(tmp_path, capsys):
@@ -154,6 +167,14 @@ def test_parse_input_number_forms():
     assert parse_input(json.dumps(doc)).offsets == (
         1, Fraction(3, 4), Fraction(1, 2), 1000, -2,
     )
+    # numerators and denominators must stay below 2**1024 (float range)
+    assert parse_input(json.dumps(dict(doc, offsets=["1e300", "1e-300", 1, 1, 1])))
+    for out_of_range in ("1e400", "1e5000", "1e-5000", 2**1024, -(2**1024)):
+        doc = dict(PENTAGON, offsets=[out_of_range, 1, 1, 1, 1])
+        with pytest.raises(UsageError, match=r"offsets\[0\].*2\*\*1024"):
+            parse_input(json.dumps(doc))
+    with pytest.raises(UsageError, match="normals"):
+        parse_input(json.dumps(dict(PENTAGON, normals=[[2**1024, 0]] + PENTAGON["normals"][1:])))
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -166,6 +187,17 @@ def test_usage_errors(tmp_path, capsys):
     short = dict(PENTAGON, offsets=[1, 1])
     assert main(["check", write(tmp_path, short)]) == 1
     assert main(["check", write(tmp_path, dict(PENTAGON, schema=2))]) == 1
+    # numbers outside float range end in an error line, not a traceback
+    for value in ("1e400", "1e5000", "1e-5000"):
+        square = {"kind": "polytope", "normals": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+                  "offsets": [value, 1, 1, 1]}
+        for command in ("check", "gale"):
+            assert main([command, write(tmp_path, square)]) == 1
+            assert "error: offsets[0]" in capsys.readouterr().err
+    too_long = tmp_path / "long.json"
+    too_long.write_text(json.dumps(PENTAGON).replace('"offsets": [1', '"offsets": [1' + "0" * 5000))
+    assert main(["check", str(too_long)]) == 1
+    assert "integer literal too long" in capsys.readouterr().err
     assert main(["reproduce", "nope"]) == 1
     assert main(["reproduce", "ex1", "--params", "p=4"]) == 1  # missing n, k
     assert main(["reproduce", "ex1", "--params", "p=4", "n=7", "k=0"]) == 1

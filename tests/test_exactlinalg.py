@@ -127,6 +127,36 @@ def test_solve_rational_fraction_rhs():
     assert x == (Fraction(1, 6),)
 
 
+def test_elimination_skips_column_after_non_unit_pivot():
+    # column 1 is twice column 0, so it is skipped after the pivot 2; the
+    # next pivot is 2 again and the Bareiss divisions by it must be exact
+    rows = [[2, 4, 1, 3], [4, 8, 3, 1], [6, 12, 5, 7]]
+    assert rational_rank(rows) == 3
+    assert rational_rank(M(rows)) == 3
+    # x = (1, 0, 2, -1): the skipped column's variable is the free one
+    assert solve_rational(rows, [1, 9, 9]) == (1, 0, 2, -1)
+    assert solve_rational(rows, [0, 0, 1]) == (
+        Fraction(-1, 2), 0, Fraction(5, 8), Fraction(1, 8),
+    )
+    assert det([[2, 1, 3], [4, 3, 1], [6, 5, 7]]) == 16
+    assert det([row[:3] for row in rows]) == 0
+    # a Fraction row is scaled to integers first; nothing else moves
+    halved = [rows[0], [Fraction(x, 2) for x in rows[1]], rows[2]]
+    assert rational_rank(halved) == 3
+    assert solve_rational(halved, [1, Fraction(9, 2), 9]) == (1, 0, 2, -1)
+
+
+def test_det_argument_forms():
+    assert det([(2, 1), (1, 1)]) == det(M([[2, 1], [1, 1]])) == 1
+    assert det([]) == 1
+    with pytest.raises(ValueError):
+        det([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        det(IntMatrix((), 3))
+    with pytest.raises(TypeError):
+        det([[Fraction(1, 2)]])
+
+
 def test_lattice_index_pinned():
     assert lattice_index(M([[2, 0], [0, 2]]), identity(2)) == 4
     assert lattice_index(identity(2), identity(2)) == 1

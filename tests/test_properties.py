@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from lagrangelab.errors import StructuralError
 from lagrangelab.exactlinalg import (
@@ -23,6 +24,7 @@ from lagrangelab.exactlinalg import (
     mat_vec,
     rational_rank,
     snf,
+    solve_rational,
 )
 from lagrangelab.families import build
 from lagrangelab.gale import (
@@ -288,6 +290,95 @@ def test_normal_form_identities():
             for x in diag:
                 prod *= x
             assert abs(det(m)) == prod
+
+
+def _cofactor_det(m: list[list]) -> Fraction:
+    """Laplace expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * x * _cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0]) if x
+    )
+
+
+def _nonzero_minor(m: list[list], k: int, cols) -> bool:
+    """Whether some k x k minor of m within the given columns is nonzero."""
+    return any(
+        _cofactor_det([[m[i][j] for j in cs] for i in rs])
+        for rs in combinations(range(len(m)), k)
+        for cs in combinations(cols, k)
+    )
+
+
+def _pivot_columns(m: list[list]) -> list[int]:
+    """Columns that raise the size of the largest nonzero minor of the
+    columns up to them; their number is the rank."""
+    pivots: list[int] = []
+    for j in range(len(m[0])):
+        if _nonzero_minor(m, len(pivots) + 1, range(j + 1)):
+            pivots.append(j)
+    return pivots
+
+
+def random_elimination_case(rng: random.Random) -> tuple[list[list], bool, bool]:
+    """A square, tall or wide matrix up to 6 x 6, returned with flags for
+    rows made dependent by construction and for Fraction rows."""
+    shape = rng.choice(("square", "tall", "wide"))
+    small, big = sorted(rng.sample(range(1, 7), 2))
+    nrows, ncols = {"square": (big, big), "tall": (big, small), "wide": (small, big)}[shape]
+    m = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+    deficient = nrows >= 2 and rng.random() < 0.4
+    if deficient:
+        keep = rng.randint(1, nrows - 1)
+        for i in range(keep, nrows):
+            a, b = rng.randrange(keep), rng.randrange(keep)
+            ca, cb = rng.randint(-2, 2), rng.randint(-2, 2)
+            m[i] = [ca * x + cb * y for x, y in zip(m[a], m[b])]
+        rng.shuffle(m)
+    if ncols >= 2 and rng.random() < 0.3:
+        j, c = rng.randrange(1, ncols), rng.randint(-2, 2)
+        for row in m:  # a column dependent on its left neighbour gets skipped
+            row[j] = c * row[j - 1]
+    fractional = rng.random() < 0.3
+    if fractional:
+        for i in rng.sample(range(nrows), rng.randint(1, nrows)):
+            d = rng.randint(2, 5)
+            m[i] = [Fraction(x, d) for x in m[i]]
+    return m, deficient, fractional
+
+
+def test_elimination_matches_oracles():
+    """det, rational_rank and solve_rational against cofactor expansion,
+    the largest nonzero minor, and exact substitution."""
+    rng = random.Random(1968)
+    deficient_n = fractional_n = inconsistent_n = square_n = 0
+    for _ in range(CASES):
+        m, deficient, fractional = random_elimination_case(rng)
+        nrows, ncols = len(m), len(m[0])
+        pivots = _pivot_columns(m)
+        rank = len(pivots)
+        assert rational_rank(m) == rank
+        if nrows == ncols and not fractional:
+            assert det(m) == det(IntMatrix.from_rows(m)) == _cofactor_det(m)
+            square_n += 1
+        if rng.random() < 0.5:
+            x0 = [rng.randint(-3, 3) for _ in range(ncols)]
+            v = [sum(a * t for a, t in zip(row, x0)) for row in m]
+        else:
+            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nrows)]
+        x = solve_rational(m, v)
+        if _nonzero_minor([row + [b] for row, b in zip(m, v)], rank + 1, range(ncols + 1)):
+            assert x is None
+            inconsistent_n += 1
+        else:
+            assert x is not None
+            assert [sum(a * t for a, t in zip(row, x)) for row in m] == v
+            assert all(x[j] == 0 for j in range(ncols) if j not in pivots)
+        deficient_n += deficient and rank < min(nrows, ncols)
+        fractional_n += fractional
+    for count in (deficient_n, fractional_n, inconsistent_n, square_n):
+        assert 50 <= count <= CASES - 50  # every branch well exercised
 
 
 def test_two_block_distinct_value_sweep():
