@@ -8,14 +8,15 @@ Subcommands:
   scan       sweep parameter ranges and report distinct-N collections
 
 Exit codes: 0 success, 1 usage/parse error, 2 structural rejection
-(empty, unbounded, non-simple, redundant, non-saturated), 3 internal
-invariant violation (a theorem the implementation enforces failed).
+(empty, unbounded, non-simple, redundant, non-saturated), 3 a bug: a
+failed internal invariant or any other unexpected exception.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -57,6 +58,7 @@ __all__ = ["main", "parse_input"]
 _RATIONAL_FORMS = "an integer or a 'p/q', decimal ('0.5') or exponent ('1e3') string"
 # input numbers must stay in float range for the numeric spot check
 _FLOAT_BOUND = 2**1024
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # as Fraction reads it
 
 
 def _rational(value, where: str) -> Fraction:
@@ -66,7 +68,16 @@ def _rational(value, where: str) -> Fraction:
         x = Fraction(value)
     elif isinstance(value, str):
         try:
-            x = Fraction(value)
+            exponent = _EXPONENT.search(value)
+            if exponent:
+                # Clamped before Fraction builds 10**k: a mantissa of D <= len(value)
+                # digits is a/b with |a|, b <= 10**D, so past the clamp the value
+                # is 0 or has a numerator or denominator >= 10**309 > 2**1024.
+                bound = len(value) + 309
+                k = max(-bound, min(bound, int(exponent.group(1))))
+                x = Fraction(f"{value[:exponent.start()]}e{k}")
+            else:
+                x = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise UsageError(
                 f"{where}: bad rational {value!r} (expected {_RATIONAL_FORMS})"
@@ -469,6 +480,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # anything else is a bug too, not a usage error
+        print(f"internal error (bug): {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

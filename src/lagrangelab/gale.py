@@ -18,10 +18,9 @@ from typing import Sequence
 from .errors import StructuralError
 from .exactlinalg import (
     IntMatrix,
+    det,
     hnf,
-    identity,
     integer_kernel,
-    lattice_index,
     mat_vec,
     rational_rank,
     snf,
@@ -88,7 +87,7 @@ class EmbeddingResult:
     is_embedded: bool
     witness: VertexData | None = None
     witness_support: tuple[int, ...] | None = None
-    witness_index: int | None = None  # None inside a failure means infinite
+    witness_index: int | None = None  # lattice index at the witness
 
 
 def canonical_form(q: QuadricSystem) -> QuadricSystem:
@@ -132,14 +131,13 @@ def embedded_check(
     Criterion: at every vertex, the gamma-columns indexed by the support
     (facets NOT tight there) must span the full lattice Z^r. Checking
     vertex supports suffices: supports of faces only grow, and a larger
-    generating set cannot fail if the minimal ones pass.
+    generating set cannot fail if the minimal ones pass. Gated (simple)
+    vertices leave r support columns, so the index is |det gamma_support|.
     """
-    full = identity(q.r)
     for v in vertices:
         active = set(v.active)
         support = tuple(j for j in range(q.n) if j not in active)
-        sub = IntMatrix.from_rows([q.column(j) for j in support], q.r)
-        idx = lattice_index(sub, full)
+        idx = abs(det([q.column(j) for j in support]))
         if idx != 1:
             return EmbeddingResult(False, v, support, idx)
     return EmbeddingResult(True)

@@ -19,6 +19,7 @@ from .exactlinalg import (
     IntMatrix,
     det,
     gcd_list,
+    identity,
     integer_kernel,
     lattice_index,
     rational_rank,
@@ -107,7 +108,7 @@ class StructuralFlags:
 class DelzantResult:
     is_delzant: bool
     witness: VertexData | None = None
-    witness_index: int | None = None  # lattice index at the witness (None = infinite)
+    witness_index: int | None = None  # lattice index at the witness
 
 
 @dataclass(frozen=True)
@@ -150,20 +151,6 @@ def enumerate_vertices(
     return tuple(vertices)
 
 
-def _is_duplicate_facet(p: PolytopePresentation, i: int, j: int) -> bool:
-    """True when facets i and j cut the same halfspace (positively
-    proportional normal and offset)."""
-    ai, aj = p.normal(i), p.normal(j)
-    nz = next((t for t in range(p.dim) if ai[t] != 0), None)
-    if nz is None or aj[nz] == 0:
-        return False
-    lam = Fraction(aj[nz], ai[nz])
-    if lam <= 0:
-        return False
-    return all(Fraction(y) == lam * x for x, y in zip(ai, aj)) and \
-        p.offsets[j] == lam * p.offsets[i]
-
-
 def structural_flags(
     p: PolytopePresentation, vertices: tuple[VertexData, ...] | None = None
 ) -> StructuralFlags:
@@ -171,8 +158,11 @@ def structural_flags(
 
     bounded: rank(A) = dim and the facet normals admit a strictly positive
     integer dependency (certified through a positive functional on the Gale
-    columns). irredundant additionally rejects positively-proportional
-    duplicate facets, which the tight-set dimension test alone cannot see.
+    columns). irredundant: no facet's set of tight vertices is empty or
+    inside (or equal to) another's. On a nonempty bounded full-dimensional
+    polytope, simple or not, that is exactly "every inequality defines a
+    facet, no two the same one". A lower-dimensional polytope has a vertex
+    with more than dim tight facets, so it fails generic_simple anyway.
     """
     dim, n = p.dim, p.n
     rank_a = rational_rank(p.normals)
@@ -192,22 +182,13 @@ def structural_flags(
 
     generic_simple = all(len(v.active) == dim for v in vertices)
 
-    irredundant = True
-    for i in range(n):
-        tight = [v.point for v in vertices if i in v.active]
-        if len(tight) < dim:
-            irredundant = False
-            break
-        base = tight[0]
-        diffs = [[x - y for x, y in zip(pt, base)] for pt in tight[1:]]
-        if rational_rank(diffs) != dim - 1:
-            irredundant = False
-            break
-    if irredundant:
-        for i in range(n):
-            if any(_is_duplicate_facet(p, i, j) for j in range(i + 1, n)):
-                irredundant = False
-                break
+    tight: list[set[int]] = [set() for _ in range(n)]
+    for k, v in enumerate(vertices):
+        for i in v.active:
+            tight[i].add(k)
+    irredundant = all(tight) and not any(
+        i != j and tight[i] <= tight[j] for i in range(n) for j in range(n)
+    )
 
     primitive = all(gcd_list(p.normal(i)) == 1 for i in range(n))
     return StructuralFlags(nonempty, bounded, generic_simple, irredundant, primitive)
@@ -251,14 +232,16 @@ def delzant_check(
     vertices: tuple[VertexData, ...],
     flags: StructuralFlags,
 ) -> DelzantResult:
-    """At every vertex the active normals must span the full lattice
+    """At every vertex the active normals A_S must span the lattice L
     generated by all the normals (index one). First failure is the witness.
+    Gated vertices have dim independent active normals, so the index is
+    |det A_S| / [Z^dim : L], with [Z^dim : L] computed once.
     """
     require_flags(flags)
     at = p.normals.transpose()
+    covolume = lattice_index(at, identity(p.dim))
     for v in vertices:
-        sub = IntMatrix.from_rows([at.data[i] for i in v.active], p.dim)
-        idx = lattice_index(sub, at)
+        idx = abs(det([at.data[i] for i in v.active])) // covolume
         if idx != 1:
             return DelzantResult(False, v, idx)
     return DelzantResult(True)

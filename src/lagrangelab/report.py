@@ -12,7 +12,7 @@ behind `reproduce` and `scan` calls the same function.
 
 Two theorems are enforced as hard invariants:
   * the intersection embeds iff the polytope passes the vertex smoothness
-    test (both are computed, a mismatch raises);
+    test, witness by witness (both are computed, a mismatch raises);
   * on smooth instances, a reflexive translation exists iff delta is a
     positive multiple of the row-sum vector, with the same constant.
 """
@@ -179,18 +179,22 @@ def _assemble(
 ) -> LagrangianReport:
     diagnostics: list[str] = []
 
-    delzant = delzant_check(p, vertices, flags)
-    embedding = embedded_check(q, vertices)
-    if embedding.is_embedded != delzant.is_delzant:
+    dz = delzant_check(p, vertices, flags)
+    emb = embedded_check(q, vertices)
+    if (emb.is_embedded, emb.witness, emb.witness_index) != (
+        dz.is_delzant, dz.witness, dz.witness_index
+    ):
         raise InternalInvariantError(
             "torus-quotient injectivity disagrees with vertex smoothness: "
-            f"embedded={embedding.is_embedded}, delzant={delzant.is_delzant}"
+            f"embedded={emb.is_embedded} at {emb.witness and _point(emb.witness.point)} "
+            f"(index {emb.witness_index}), delzant={dz.is_delzant} at "
+            f"{dz.witness and _point(dz.witness.point)} (index {dz.witness_index})"
         )
-    if not delzant.is_delzant:
+    if not dz.is_delzant:
         diagnostics.append(
             "not embedded: the map is an immersion with double points "
-            f"(vertex {tuple(map(str, delzant.witness.point))} has lattice "
-            f"index {delzant.witness_index})"
+            f"(vertex {tuple(map(str, dz.witness.point))} has lattice "
+            f"index {dz.witness_index})"
         )
 
     fano: FanoResult | None
@@ -204,7 +208,7 @@ def _assemble(
         diagnostics.append(fano_refusal)
 
     inv = quadric_invariants(q, vertices)
-    if delzant.is_delzant and fano is not None:
+    if dz.is_delzant and fano is not None:
         if fano.is_fano != inv.maslov.monotone:
             raise InternalInvariantError(
                 "reflexive-translation verdict disagrees with monotonicity: "
@@ -222,8 +226,8 @@ def _assemble(
         polytope=p,
         vertices=vertices,
         flags=flags,
-        delzant=delzant,
-        embedding=embedding,
+        delzant=dz,
+        embedding=emb,
         fano=fano,
         fano_refusal=fano_refusal,
     )
@@ -281,11 +285,10 @@ def render_text(rep: LagrangianReport) -> str:
         lines.append("smooth (Delzant): yes — the intersection embeds")
     else:
         w = rep.delzant.witness
-        idx = rep.delzant.witness_index
         lines.append(
             f"smooth (Delzant): no — vertex {_point(w.point)} (facets "
             f"{tuple(i + 1 for i in w.active)}) has lattice index "
-            f"{'infinite' if idx is None else idx}; immersion only"
+            f"{rep.delzant.witness_index}; immersion only"
         )
     if rep.fano is None:
         lines.append("fano: refused — " + (rep.fano_refusal or ""))

@@ -1,12 +1,14 @@
 """Command-line behavior: formats, exit codes, family tables."""
 
+import dataclasses
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from lagrangelab import polytope
+from lagrangelab import cli, polytope, report
 from lagrangelab.cli import main, parse_input
 from lagrangelab.errors import UsageError
 
@@ -169,12 +171,42 @@ def test_parse_input_number_forms():
     )
     # numerators and denominators must stay below 2**1024 (float range)
     assert parse_input(json.dumps(dict(doc, offsets=["1e300", "1e-300", 1, 1, 1])))
-    for out_of_range in ("1e400", "1e5000", "1e-5000", 2**1024, -(2**1024)):
+    # huge exponents are refused (or read as 0) before 10**exponent is built
+    start = time.perf_counter()
+    assert parse_input(json.dumps(dict(doc, offsets=["0e100000000", 1, 1, 1, 1]))).offsets[0] == 0
+    for out_of_range in ("1e400", "1e5000", "1e-5000", "1e100000000", "-1e-100000000",
+                         2**1024, -(2**1024)):
         doc = dict(PENTAGON, offsets=[out_of_range, 1, 1, 1, 1])
         with pytest.raises(UsageError, match=r"offsets\[0\].*2\*\*1024"):
             parse_input(json.dumps(doc))
+    assert time.perf_counter() - start < 0.5
     with pytest.raises(UsageError, match="normals"):
         parse_input(json.dumps(dict(PENTAGON, normals=[[2**1024, 0]] + PENTAGON["normals"][1:])))
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(p):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "check_polytope", broken)
+    assert main(["check", write(tmp_path, PENTAGON)]) == 3
+    assert capsys.readouterr().err == "internal error (bug): ValueError: boom\n"
+
+
+def test_embedding_witness_must_match_delzant(tmp_path, capsys, monkeypatch):
+    original = report.embedded_check
+    path = write(tmp_path, WEIGHTED)
+    for shift in ("witness", "witness_index"):
+        def shifted(q, vertices, shift=shift):
+            res = original(q, vertices)
+            if shift == "witness":
+                k = vertices.index(res.witness)
+                return dataclasses.replace(res, witness=vertices[(k + 1) % len(vertices)])
+            return dataclasses.replace(res, witness_index=res.witness_index + 1)
+
+        monkeypatch.setattr(report, "embedded_check", shifted)
+        assert main(["check", path]) == 3
+        assert "disagrees with vertex smoothness" in capsys.readouterr().err
 
 
 def test_usage_errors(tmp_path, capsys):

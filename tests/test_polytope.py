@@ -100,6 +100,8 @@ def test_degenerate_point_is_not_generic():
     assert [v.point for v in vs] == [(F(-1),)]
     fl = structural_flags(p, vs)
     assert fl.nonempty and fl.bounded and not fl.generic_simple
+    # both facets are tight exactly at the one vertex: equal tight sets
+    assert not fl.irredundant
 
 
 def test_duplicate_facet_flagged_redundant():
@@ -112,6 +114,8 @@ def test_far_facet_flagged_redundant():
     p = poly([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)], [1, 1, 1, 1, 10])
     fl = structural_flags(p)
     assert fl.generic_simple and not fl.irredundant
+    # a lone halfplane has no vertex, so its one tight set is empty
+    assert not structural_flags(poly([(1, 0)], [0])).irredundant
 
 
 def test_duplicate_with_positive_scaling_caught():

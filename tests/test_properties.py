@@ -18,8 +18,10 @@ from lagrangelab.exactlinalg import (
     IntMatrix,
     det,
     hnf,
+    identity,
     integer_kernel,
     is_unimodular,
+    lattice_index,
     mat_mul,
     mat_vec,
     rational_rank,
@@ -131,7 +133,9 @@ def random_system(rng: random.Random) -> QuadricSystem | None:
 
 def test_embedding_matches_delzant():
     """The torus-quotient embedding test and the vertex lattice test agree,
-    down to the witness vertex and its index."""
+    down to the witness vertex and its index. At every vertex the three
+    index formulas agree: |det A_S| over the covolume of the normal lattice,
+    the lattice index of A_S in that lattice, and |det gamma_support|."""
     rng = random.Random(20260823)
     bases = base_shapes()
     accepted = embedded_n = attempts = 0
@@ -149,8 +153,17 @@ def test_embedding_matches_delzant():
             if made is None:
                 continue
             p, verts, flags = made
+        q = polytope_to_quadrics(p)
+        at = p.normals.transpose()
+        covolume = lattice_index(at, identity(p.dim))
+        for v in verts:
+            a_s = [at.data[i] for i in v.active]
+            support = [q.column(j) for j in range(p.n) if j not in v.active]
+            assert abs(det(a_s)) % covolume == 0
+            assert abs(det(a_s)) // covolume \
+                == lattice_index(IntMatrix.from_rows(a_s), at) == abs(det(support))
         dz = delzant_check(p, verts, flags)
-        emb = embedded_check(polytope_to_quadrics(p), verts)
+        emb = embedded_check(q, verts)
         assert emb.is_embedded == dz.is_delzant
         if not dz.is_delzant:
             assert emb.witness.point == dz.witness.point
@@ -158,6 +171,80 @@ def test_embedding_matches_delzant():
         accepted += 1
         embedded_n += emb.is_embedded
     assert 50 <= embedded_n <= CASES - 50  # both branches well exercised
+
+
+def old_irredundant(p: PolytopePresentation, vertices) -> bool:
+    """The irredundancy rule structural_flags applied before the tight-set
+    antichain: the tight vertices of every facet affinely span dim - 1
+    dimensions, and no two facets are positively proportional (normal and
+    offset)."""
+    for i in range(p.n):
+        tight = [v.point for v in vertices if i in v.active]
+        if len(tight) < p.dim:
+            return False
+        diffs = [[x - y for x, y in zip(pt, tight[0])] for pt in tight[1:]]
+        if rational_rank(diffs) != p.dim - 1:
+            return False
+    for i, j in combinations(range(p.n), 2):
+        ai, aj = p.normal(i), p.normal(j)
+        t = next(t for t in range(p.dim) if ai[t])  # the generator's normals are nonzero
+        lam = Fraction(aj[t], ai[t])
+        if lam > 0 and all(y == lam * x for x, y in zip(ai, aj)) \
+                and p.offsets[j] == lam * p.offsets[i]:
+            return False
+    return True
+
+
+def test_irredundant_matches_old_rule():
+    """The tight-set antichain gives the same gate verdict as the old rule
+    on every input, and the same irredundant flag whenever the vertices
+    affinely span R^dim. Most inputs are boxes with random cuts: far cuts
+    are redundant, cuts through a vertex make it non-simple, scaled copies
+    duplicate a facet, and the opposite of facet 0 squeezes the polytope
+    flat. The rest have no box and are often unbounded."""
+    rng = random.Random(1992)
+    seen = {"pass": 0, "redundant": 0, "non_simple": 0, "not_spanning": 0}
+    for _ in range(CASES):
+        d = rng.randint(1, 3)
+        cols, offsets = [], []
+        if rng.random() < 0.8:
+            for i in range(d):
+                e = tuple(int(t == i) for t in range(d))
+                cols += [e, tuple(-x for x in e)]
+                offsets += [Fraction(rng.randint(1, 2)), Fraction(rng.randint(1, 2))]
+        for _ in range(rng.randint(1, 3)):
+            if cols and rng.random() < 0.15:
+                k, c = rng.randrange(len(cols)), rng.randint(1, 2)
+                cols.append(tuple(c * x for x in cols[k]))
+                offsets.append(c * offsets[k])
+                continue
+            while True:
+                a = tuple(rng.randint(-2, 2) for _ in range(d))
+                if any(a):
+                    break
+            cols.append(a)
+            offsets.append(Fraction(rng.randint(1, 5)))
+        if rng.random() < 0.15:
+            cols.append(tuple(-x for x in cols[0]))
+            offsets.append(-offsets[0])
+        normals = IntMatrix.from_rows([tuple(c[i] for c in cols) for i in range(d)], len(cols))
+        p = PolytopePresentation(normals, tuple(offsets))
+        verts = enumerate_vertices(p)
+        flags = structural_flags(p, verts)
+        old = old_irredundant(p, verts)
+        assert flags.all_pass() == (
+            flags.nonempty and flags.bounded and flags.generic_simple and old
+        )
+        spans = bool(verts) and rational_rank(
+            [[x - y for x, y in zip(v.point, verts[0].point)] for v in verts[1:]]
+        ) == d
+        if spans:
+            assert flags.irredundant == old
+        seen["pass"] += flags.all_pass()
+        seen["redundant"] += spans and flags.generic_simple and not old
+        seen["non_simple"] += spans and not flags.generic_simple
+        seen["not_spanning"] += bool(verts) and not spans
+    assert min(seen.values()) >= 25, seen
 
 
 def test_reflexive_matches_monotone():
