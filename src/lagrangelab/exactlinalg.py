@@ -6,7 +6,9 @@ these routines.
 
 det, rational_rank and solve_rational share one fraction-free (Bareiss)
 elimination over the integers; Fractions appear only at the API boundary,
-in scaled input rows and in solve_rational's result.
+in scaled input rows and in solve_rational's result. Its integer form,
+_solve_augmented (numerators over one positive denominator), is also what
+polytope.enumerate_vertices solves with.
 
 Conventions:
   * matrices are row-major IntMatrix values (immutable),
@@ -336,7 +338,19 @@ def solve_rational(
     rows = m.data if isinstance(m, IntMatrix) else m
     if len(v) != len(rows):
         raise ValueError("rhs length mismatch")
-    a = _scaled_rows([(*row, b) for row, b in zip(rows, v)])
+    solved = _solve_augmented(_scaled_rows([(*row, b) for row, b in zip(rows, v)]))
+    if solved is None:
+        return None
+    y, d, _ = solved
+    return tuple(Fraction(t, d) for t in y)
+
+
+def _solve_augmented(a: list[list[int]]) -> tuple[list[int], int, int] | None:
+    """Solve the integer augmented rows [m | v] (eliminated in place).
+
+    Returns (y, d, rank) with d > 0 and m @ (y / d) == v, pivoting as in
+    solve_rational, or None if the system is inconsistent.
+    """
     ncols = len(a[0]) - 1 if a else 0
     pivots, _ = _echelon(a)
     if pivots and pivots[-1] == ncols:
@@ -346,7 +360,9 @@ def solve_rational(
     y = [0] * ncols
     for k, c in reversed(list(enumerate(pivots))):
         y[c] = (d * a[k][ncols] - sum(a[k][j] * y[j] for j in pivots[k + 1:])) // a[k][c]
-    return tuple(Fraction(t, d) for t in y)
+    if d < 0:
+        d, y = -d, [-t for t in y]
+    return y, d, len(pivots)
 
 
 def _coordinates_in(basis_rows: list[tuple[int, ...]], pivcols: list[int],

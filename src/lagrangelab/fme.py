@@ -4,7 +4,9 @@ Used for the two feasibility questions the pipeline needs answered exactly:
 does A^T x + b >= 0 have a solution (nonemptiness), and does w with
 w . gamma_j >= 1 for every column exist (boundedness of the dual polytope /
 positivity normalization of a quadric system). Constraint rows are
-(coeffs, rhs) meaning sum(coeffs[m] * y[m]) >= rhs.
+(coeffs, rhs) meaning sum(coeffs[m] * y[m]) >= rhs. Each row is kept as the
+primitive integer vector on its ray (rhs included), so positive multiples of
+one halfspace are equal rows and elimination stays in integers.
 
 Back-substitution is deterministic (midpoint of the surviving interval,
 finite endpoint when one-sided, 0 when unconstrained), so callers can freeze
@@ -13,6 +15,7 @@ returned points in tests.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,16 +23,20 @@ from .errors import CapExceeded
 
 __all__ = ["feasible_point", "find_positive_functional"]
 
-Row = tuple[tuple[Fraction, ...], Fraction]
+Row = tuple[tuple[int, ...], int]
 
 DEFAULT_ROW_CAP = 50_000
 
 
-def _normalize(coeffs: Sequence[Fraction], rhs: Fraction) -> Row:
-    scale = next((abs(c) for c in coeffs if c != 0), None)
-    if scale is None:
-        return tuple(coeffs), rhs
-    return tuple(c / scale for c in coeffs), rhs / scale
+def _normalize(coeffs: Sequence[int | Fraction], rhs: int | Fraction) -> Row:
+    """The row times a positive factor that makes it a primitive integer
+    vector, rhs included (an all-zero row stays zero)."""
+    den = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    row = [int(x * den) for x in (*coeffs, rhs)]
+    g = math.gcd(*row)
+    if g > 1:
+        row = [x // g for x in row]
+    return tuple(row[:-1]), row[-1]
 
 
 def _clean(rows: list[Row]) -> list[Row] | None:
@@ -104,7 +111,7 @@ def feasible_point(
             c = coeffs[m]
             if c == 0:
                 continue
-            bound = (rhs - sum(coeffs[t] * point[t] for t in range(m))) / c
+            bound = Fraction(rhs - sum(coeffs[t] * point[t] for t in range(m)), c)
             if c > 0:
                 lo = bound if lo is None else max(lo, bound)
             else:

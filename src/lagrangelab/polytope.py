@@ -1,9 +1,12 @@
 """Convex polytopes presented by halfspaces <a_i, x> + b_i >= 0.
 
 The presentation carries integer facet normals a_i (columns of `normals`)
-and rational offsets b_i. All verdicts are exact; vertex enumeration solves
-a dim x dim system by fraction-free integer elimination for every candidate
-subset of facets, and checks each candidate point over Fraction.
+and rational offsets b_i. All verdicts are exact. Vertex enumeration visits
+every pair of a dim-subset of tight facets and its complementary r-subset
+(r = n - dim) and solves it by fraction-free integer elimination on the side
+with fewer unknowns: the Gale side gamma_S c_S = gamma b when r <= dim, the
+polytope side A_T^T x = -b_T otherwise. Feasibility and the tight set are
+read from the signs of the integer slack numerators.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 from .errors import CapExceeded, StructuralError
 from .exactlinalg import (
@@ -24,6 +26,7 @@ from .exactlinalg import (
     lattice_index,
     rational_rank,
     solve_rational,
+    _solve_augmented,
 )
 from .fme import feasible_point, find_positive_functional
 
@@ -74,10 +77,6 @@ class PolytopePresentation:
     def normal(self, i: int) -> tuple[int, ...]:
         return self.normals.column(i)
 
-    def value(self, i: int, x: Sequence[Fraction]) -> Fraction:
-        a = self.normals.column(i)
-        return sum((Fraction(c) * t for c, t in zip(a, x)), Fraction(0)) + self.offsets[i]
-
 
 @dataclass(frozen=True)
 class VertexData:
@@ -124,29 +123,72 @@ def enumerate_vertices(
 ) -> tuple[VertexData, ...]:
     """All vertices with their full tight sets, sorted by point.
 
-    Every dim-subset of facets with invertible normal matrix is solved
-    exactly; candidate points failing any inequality are discarded.
+    A vertex is a complementary pair: a dim-subset T of tight facets with
+    invertible normals, and on the r-subset S = [n] \\ T (r = n - dim) a
+    basic feasible solution c_S >= 0 of gamma_S c_S = gamma b, where gamma is
+    the Gale kernel of A and c = A^T x + b are the slacks. Each pair is
+    solved on the side with fewer unknowns: gamma_S c_S = gamma b with
+    c_T = 0 when r <= dim, A_T^T x = -b_T otherwise. Both give the slacks as
+    integer numerators over one positive denominator, so feasibility and the
+    active set are read from their signs. A vertex is keyed on its active
+    set; its point is recovered once. Rank A < dim gives no vertices.
     """
     dim, n = p.dim, p.n
     if math.comb(n, dim) > cap:
         raise CapExceeded(
             f"vertex enumeration over comb({n}, {dim}) subsets exceeds the cap {cap}"
         )
+    r = n - dim
     at = p.normals.transpose().data  # rows are the a_i
-    found: dict[tuple[Fraction, ...], None] = {}
-    for subset in combinations(range(n), dim):
-        sub = [at[i] for i in subset]
-        if det(sub) == 0:
-            continue
-        rhs = [-p.offsets[i] for i in subset]
-        x = solve_rational(sub, rhs)
-        assert x is not None  # invertible system
-        if all(p.value(i, x) >= 0 for i in range(n)):
-            found.setdefault(x, None)
-    vertices = []
-    for point in found:
-        active = tuple(i for i in range(n) if p.value(i, point) == 0)
-        vertices.append(VertexData(point, active))
+    scale = math.lcm(*(b.denominator for b in p.offsets))
+    offsets = [int(b * scale) for b in p.offsets]  # scale * b, integral
+    points: dict[tuple[int, ...], tuple[Fraction, ...]] = {}  # active set -> point
+    if r <= dim:
+        gamma = integer_kernel(p.normals).data
+        if len(gamma) != r:
+            return ()  # rank A < dim
+        delta = [sum(g * b for g, b in zip(row, offsets)) for row in gamma]
+        found: dict[tuple[int, ...], tuple[list[int], int]] = {}  # active set -> slacks, d
+        for support in combinations(range(n), r):
+            solved = _solve_augmented(
+                [[row[j] for j in support] + [dk] for row, dk in zip(gamma, delta)]
+            )
+            if solved is None or solved[2] < r:
+                continue
+            c_s, d, _ = solved
+            if min(c_s, default=0) < 0:
+                continue
+            slacks = [0] * n
+            for j, c in zip(support, c_s):
+                slacks[j] = c
+            found.setdefault(tuple(i for i, c in enumerate(slacks) if c == 0), (slacks, d))
+        # One fixed inverse gives every point. gamma is in Hermite form, so it
+        # is invertible on its pivot columns and A on the other columns, T0.
+        # Then x = (A_T0^T)^-1 (c_T0 - b_T0); the inverse's columns z_t solve
+        # A_T0^T z = e_t, all over the same den = |det A_T0|.
+        pivots = {next(j for j, g in enumerate(row) if g) for row in gamma}
+        tight0 = [i for i in range(n) if i not in pivots]
+        inverse = [_solve_augmented([[*at[i], int(i == t)] for i in tight0]) for t in tight0]
+        den = inverse[0][1]
+        adjugate = [[z[k] for z, _, _ in inverse] for k in range(dim)]
+        for active, (slacks, d) in found.items():
+            w = [slacks[i] - d * offsets[i] for i in tight0]
+            points[active] = tuple(
+                Fraction(sum(a * t for a, t in zip(row, w)), den * d * scale) for row in adjugate
+            )
+    else:
+        for tight in combinations(range(n), dim):
+            solved = _solve_augmented([[*at[i], -offsets[i]] for i in tight])
+            if solved is None or solved[2] < dim:
+                continue
+            y, d, _ = solved
+            slacks = [sum(a * t for a, t in zip(row, y)) + d * b for row, b in zip(at, offsets)]
+            if min(slacks) < 0:
+                continue
+            active = tuple(i for i, c in enumerate(slacks) if c == 0)
+            if active not in points:
+                points[active] = tuple(Fraction(t, d * scale) for t in y)
+    vertices = [VertexData(point, active) for active, point in points.items()]
     vertices.sort(key=lambda v: v.point)
     return tuple(vertices)
 

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from lagrangelab import cli, polytope, report
+from lagrangelab import cli, families, polytope, report
 from lagrangelab.cli import main, parse_input
 from lagrangelab.errors import UsageError
+from lagrangelab.topology import normalize, render
 
 PENTAGON = {
     "schema": 1,
@@ -88,6 +89,29 @@ def test_check_quadrics_json(tmp_path, capsys):
         "reason": "at most 2^2 smooth isotopy classes",
     }
     assert data["fiber_rendered"] == "S^3 x S^5"
+
+
+def test_check_five_fold_p4_q2(tmp_path, capsys):
+    """The full check on th4(4,2): n = 20 facets in dimension 17, 320
+    vertices. The pipeline must reproduce the family's closed forms; the
+    polytope is not Delzant, with the embedding witness the same vertex."""
+    inst = families.build("th4", p=4, q=2)
+    doc = {
+        "kind": "quadrics",
+        "gamma": [list(row) for row in inst.system.gamma.data],
+        "delta": [str(d) for d in inst.system.delta],
+    }
+    assert main(["check", write(tmp_path, doc), "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (len(data["normals"]), len(data["normals"][0])) == (20, 17)
+    assert len(data["vertices"]) == 320
+    assert data["maslov"]["minimal_maslov"] == inst.minimal_maslov == 2
+    assert data["fiber_rendered"] == render(normalize(inst.fiber))
+    assert data["fibration"]["orientable"] is inst.orientable is True
+    assert data["fibration"]["trivial"] is inst.trivial is True
+    assert data["delzant"] is False and data["embedded"] is False
+    assert data["delzant_witness"]["index"] == 2
+    assert "has lattice index 2" in data["diagnostics"][0]
 
 
 def test_check_weighted_pentagon(tmp_path, capsys):

@@ -9,11 +9,12 @@ acceptance rate.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from lagrangelab.errors import StructuralError
+from lagrangelab.errors import CapExceeded, StructuralError
 from lagrangelab.exactlinalg import (
     IntMatrix,
     det,
@@ -39,7 +40,9 @@ from lagrangelab.gale import (
 from lagrangelab.lattice import lattice_data
 from lagrangelab.maslov import generator_report, monotonicity
 from lagrangelab.polytope import (
+    VERTEX_SUBSET_CAP,
     PolytopePresentation,
+    VertexData,
     delzant_check,
     enumerate_vertices,
     fano_check,
@@ -244,6 +247,124 @@ def test_irredundant_matches_old_rule():
         seen["redundant"] += spans and flags.generic_simple and not old
         seen["non_simple"] += spans and not flags.generic_simple
         seen["not_spanning"] += bool(verts) and not spans
+    assert min(seen.values()) >= 25, seen
+
+
+def old_value(p: PolytopePresentation, i: int, x) -> Fraction:
+    """PolytopePresentation.value before its removal: <a_i, x> + b_i."""
+    a = p.normals.column(i)
+    return sum((Fraction(c) * t for c, t in zip(a, x)), Fraction(0)) + p.offsets[i]
+
+
+def old_enumerate_vertices(
+    p: PolytopePresentation, cap: int = VERTEX_SUBSET_CAP
+) -> tuple[VertexData, ...]:
+    """enumerate_vertices before the Gale-side rewrite, kept as the
+    reference: every dim-subset of facets with invertible normal matrix is
+    solved on the polytope side, and candidate points failing any
+    inequality over Fraction are discarded."""
+    dim, n = p.dim, p.n
+    if math.comb(n, dim) > cap:
+        raise CapExceeded(
+            f"vertex enumeration over comb({n}, {dim}) subsets exceeds the cap {cap}"
+        )
+    at = p.normals.transpose().data  # rows are the a_i
+    found: dict[tuple[Fraction, ...], None] = {}
+    for subset in combinations(range(n), dim):
+        sub = [at[i] for i in subset]
+        if det(sub) == 0:
+            continue
+        rhs = [-p.offsets[i] for i in subset]
+        x = solve_rational(sub, rhs)
+        assert x is not None  # invertible system
+        if all(old_value(p, i, x) >= 0 for i in range(n)):
+            found.setdefault(x, None)
+    vertices = []
+    for point in found:
+        active = tuple(i for i in range(n) if old_value(p, i, point) == 0)
+        vertices.append(VertexData(point, active))
+    vertices.sort(key=lambda v: v.point)
+    return tuple(vertices)
+
+
+def random_vertex_input(rng: random.Random) -> tuple[PolytopePresentation, bool]:
+    """An input for the enumeration oracle, with a flag for a scaled
+    duplicate facet. Half are boxes with up to three cuts (r >= dim): cuts
+    through a box vertex, scaled copies of a facet, or free cuts. The rest
+    have dim to 2 dim + 1 free facets (r <= dim + 1), often unbounded.
+    Offsets are often not integers, and one input in ten has every normal
+    in a hyperplane, so rank A < dim."""
+    d = rng.randint(1, 4)
+
+    def normal() -> tuple[int, ...]:
+        while True:
+            a = tuple(rng.randint(-2, 2) for _ in range(d))
+            if any(a):
+                return a
+
+    def offset() -> Fraction:
+        return Fraction(rng.randint(-1, 4), rng.choice((1, 1, 2, 3)))
+
+    cols: list[tuple[int, ...]] = []
+    offsets: list[Fraction] = []
+    duplicate = False
+    if rng.random() < 0.5:
+        lo = [Fraction(rng.randint(1, 4), rng.choice((1, 2))) for _ in range(d)]
+        hi = [Fraction(rng.randint(1, 4), rng.choice((1, 3))) for _ in range(d)]
+        for i in range(d):
+            e = tuple(int(t == i) for t in range(d))
+            cols += [e, tuple(-x for x in e)]
+            offsets += [lo[i], hi[i]]
+        for _ in range(rng.randint(0, 3)):
+            kind = rng.random()
+            if kind < 0.35:  # through a vertex of the box
+                a = normal()
+                corner = [rng.choice((-lo[t], hi[t])) for t in range(d)]
+                cols.append(a)
+                offsets.append(-sum(x * t for x, t in zip(a, corner)))
+            elif kind < 0.55:
+                k, c = rng.randrange(len(cols)), rng.randint(2, 3)
+                cols.append(tuple(c * x for x in cols[k]))
+                offsets.append(c * offsets[k])
+                duplicate = True
+            else:
+                cols.append(normal())
+                offsets.append(offset())
+    else:
+        for _ in range(rng.randint(d, 2 * d + 1)):
+            cols.append(normal())
+            offsets.append(offset())
+    if rng.random() < 0.1:
+        cols = [c[:-1] + (0,) for c in cols]
+    normals = IntMatrix.from_rows([tuple(c[i] for c in cols) for i in range(d)], len(cols))
+    return PolytopePresentation(normals, tuple(offsets)), duplicate
+
+
+def test_enumeration_matches_polytope_side_oracle():
+    """enumerate_vertices, which solves each complementary pair on the side
+    with fewer unknowns and reads feasibility from integer slack signs,
+    returns exactly the tuple of the Fraction polytope-side enumeration."""
+    rng = random.Random(1992_5)
+    seen = dict.fromkeys((
+        "gale_side", "polytope_side", "r_eq_dim", "r_eq_1", "r_eq_0",
+        "rank_deficient", "unbounded", "non_simple", "duplicate", "fractional",
+    ), 0)
+    for _ in range(CASES):
+        p, duplicate = random_vertex_input(rng)
+        verts = enumerate_vertices(p)
+        assert verts == old_enumerate_vertices(p)
+        r = p.n - p.dim
+        full_rank = rational_rank(p.normals) == p.dim
+        seen["gale_side"] += bool(verts) and r <= p.dim
+        seen["polytope_side"] += bool(verts) and r > p.dim
+        seen["r_eq_dim"] += bool(verts) and r == p.dim
+        seen["r_eq_1"] += bool(verts) and r == 1
+        seen["r_eq_0"] += bool(verts) and r == 0
+        seen["rank_deficient"] += not full_rank
+        seen["unbounded"] += bool(verts) and not structural_flags(p, verts).bounded
+        seen["non_simple"] += any(len(v.active) > p.dim for v in verts)
+        seen["duplicate"] += bool(verts) and duplicate
+        seen["fractional"] += bool(verts) and any(b.denominator > 1 for b in p.offsets)
     assert min(seen.values()) >= 25, seen
 
 
