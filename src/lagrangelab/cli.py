@@ -30,7 +30,7 @@ from .gale import (
     polytope_to_quadrics,
     quadrics_to_polytope,
 )
-from .numerics import numeric_report
+from .numerics import LOOP_TOLERANCE, numeric_report
 from .polytope import PolytopePresentation, gate, normalize_normals
 from .report import (
     QuadricInvariants,
@@ -189,7 +189,8 @@ def _cmd_check(args) -> int:
             f"(tolerance {args.tol_membership:g}), "
             f"symplectic residual {numeric.max_omega_residual:.3e} "
             f"(tolerance {args.tol_lagrangian:g}), "
-            f"loop error {numeric.max_loop_relative_error:.3e}"
+            f"loop error {numeric.max_loop_relative_error:.3e} "
+            f"(tolerance {LOOP_TOLERANCE:g})"
         )
     if args.json:
         data = report_dict(rep)
@@ -420,6 +421,16 @@ def _cmd_scan(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not tol > 0:  # also refuses NaN, which no residual can be held to
+        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagrangelab",
@@ -430,10 +441,10 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="full report on one input file")
     chk.add_argument("file")
     chk.add_argument("--json", action="store_true")
-    chk.add_argument("--tol-membership", type=float, default=1e-9,
+    chk.add_argument("--tol-membership", type=_tolerance, default=1e-9,
                      help="bound on the relative quadric residual "
                           "|gamma_m u^2 - delta_m| / max(1, |delta_m|)")
-    chk.add_argument("--tol-lagrangian", type=float, default=1e-8)
+    chk.add_argument("--tol-lagrangian", type=_tolerance, default=1e-8)
     chk.add_argument("--normalize-normals", action="store_true",
                      help="divide facet normals by their gcd before analysis "
                           "(polytope inputs only)")

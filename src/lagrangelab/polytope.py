@@ -165,17 +165,19 @@ def enumerate_vertices(
         # One fixed inverse gives every point. gamma is in Hermite form, so it
         # is invertible on its pivot columns and A on the other columns, T0.
         # Then x = (A_T0^T)^-1 (c_T0 - b_T0); the inverse's columns z_t solve
-        # A_T0^T z = e_t, all over the same den = |det A_T0|.
+        # A_T0^T z = e_t, all over the same den = |det A_T0|. The part from
+        # b_T0 is shared, and c_T0 is nonzero on at most r facets.
         pivots = {next(j for j, g in enumerate(row) if g) for row in gamma}
         tight0 = [i for i in range(n) if i not in pivots]
-        inverse = [_solve_augmented([[*at[i], int(i == t)] for i in tight0]) for t in tight0]
-        den = inverse[0][1]
-        adjugate = [[z[k] for z, _, _ in inverse] for k in range(dim)]
+        inverse = {t: _solve_augmented([[*at[i], int(i == t)] for i in tight0]) for t in tight0}
+        den = inverse[tight0[0]][1]
+        shift = [sum(offsets[t] * inverse[t][0][k] for t in tight0) for k in range(dim)]
         for active, (slacks, d) in found.items():
-            w = [slacks[i] - d * offsets[i] for i in tight0]
-            points[active] = tuple(
-                Fraction(sum(a * t for a, t in zip(row, w)), den * d * scale) for row in adjugate
-            )
+            w = [-d * x for x in shift]
+            for t, (z, _, _) in inverse.items():
+                if slacks[t]:
+                    w = [x + slacks[t] * y for x, y in zip(w, z)]
+            points[active] = tuple(Fraction(x, den * d * scale) for x in w)
     else:
         for tight in combinations(range(n), dim):
             solved = _solve_augmented([[*at[i], -offsets[i]] for i in tight])
@@ -277,13 +279,33 @@ def delzant_check(
     """At every vertex the active normals A_S must span the lattice L
     generated by all the normals (index one). First failure is the witness.
     Gated vertices have dim independent active normals, so the index is
-    |det A_S| / [Z^dim : L], with [Z^dim : L] computed once.
+    |det A_S| / [Z^dim : L], with [Z^dim : L] computed once and every
+    |det A_S| read as a small minor in the first vertex's basis.
     """
     require_flags(flags)
     at = p.normals.transpose()
     covolume = lattice_index(at, identity(p.dim))
+    # Cramer's rule in one fixed basis, the first vertex's normals A_T0:
+    # N = adj(A_T0) A over den = |det A_T0|, so column t of T0 is den e_t,
+    # and a column off T0 is solved when a vertex first needs it (the check
+    # often stops early). For a tight set T with k = |T \ T0|,
+    # det A_T = det A_T0 det(N_T / den), and expanding N_T along its unit
+    # columns leaves |det A_T| = |det N[T0 \ T, T \ T0]| / den^(k-1).
+    tight0 = vertices[0].active
+    row_of = {t: k for k, t in enumerate(tight0)}
+    den = abs(det([at.data[t] for t in tight0]))
+    coords: dict[int, list[int]] = {}
     for v in vertices:
-        idx = abs(det([at.data[i] for i in v.active])) // covolume
+        entering = [j for j in v.active if j not in row_of]
+        for j in entering:
+            if j not in coords:
+                coords[j] = _solve_augmented(
+                    [[*(at.data[t][k] for t in tight0), at.data[j][k]] for k in range(p.dim)]
+                )[0]
+        active = set(v.active)
+        leaving = [row_of[t] for t in tight0 if t not in active]
+        minor = [[coords[j][k] for j in entering] for k in leaving]
+        idx = abs(det(minor)) * den // den ** len(leaving) // covolume
         if idx != 1:
             return DelzantResult(False, v, idx)
     return DelzantResult(True)

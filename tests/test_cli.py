@@ -7,10 +7,13 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagrangelab import cli, families, polytope, report
 from lagrangelab.cli import main, parse_input
 from lagrangelab.errors import UsageError
+from lagrangelab.numerics import NumericReport
 from lagrangelab.topology import normalize, render
 
 PENTAGON = {
@@ -91,11 +94,11 @@ def test_check_quadrics_json(tmp_path, capsys):
     assert data["fiber_rendered"] == "S^3 x S^5"
 
 
-def test_check_five_fold_p4_q2(tmp_path, capsys):
-    """The full check on th4(4,2): n = 20 facets in dimension 17, 320
-    vertices. The pipeline must reproduce the family's closed forms; the
-    polytope is not Delzant, with the embedding witness the same vertex."""
-    inst = families.build("th4", p=4, q=2)
+def check_five_fold(tmp_path, capsys, p, facets, dim, vertices):
+    """The full check on th4(p, 2). The pipeline must reproduce the family's
+    closed forms; the polytope is not Delzant, with the embedding witness
+    the same vertex."""
+    inst = families.build("th4", p=p, q=2)
     doc = {
         "kind": "quadrics",
         "gamma": [list(row) for row in inst.system.gamma.data],
@@ -103,8 +106,8 @@ def test_check_five_fold_p4_q2(tmp_path, capsys):
     }
     assert main(["check", write(tmp_path, doc), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert (len(data["normals"]), len(data["normals"][0])) == (20, 17)
-    assert len(data["vertices"]) == 320
+    assert (len(data["normals"]), len(data["normals"][0])) == (facets, dim)
+    assert len(data["vertices"]) == vertices
     assert data["maslov"]["minimal_maslov"] == inst.minimal_maslov == 2
     assert data["fiber_rendered"] == render(normalize(inst.fiber))
     assert data["fibration"]["orientable"] is inst.orientable is True
@@ -112,6 +115,14 @@ def test_check_five_fold_p4_q2(tmp_path, capsys):
     assert data["delzant"] is False and data["embedded"] is False
     assert data["delzant_witness"]["index"] == 2
     assert "has lattice index 2" in data["diagnostics"][0]
+
+
+def test_check_five_fold_p4_q2(tmp_path, capsys):
+    check_five_fold(tmp_path, capsys, p=4, facets=20, dim=17, vertices=320)
+
+
+def test_check_th4_p8_q2(tmp_path, capsys):
+    check_five_fold(tmp_path, capsys, p=8, facets=40, dim=37, vertices=2560)
 
 
 def test_check_weighted_pentagon(tmp_path, capsys):
@@ -261,6 +272,115 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["reproduce", "ex1", "--params", "p=oops", "n=10", "k=0"]) == 1
     assert main(["scan", "ex1", "--range", "p=4..2..0"]) == 1
     assert main([]) == 1  # no subcommand
+
+
+def test_tolerances_must_be_positive(tmp_path, capsys):
+    """A NaN, zero or negative tolerance is a usage error, refused before
+    the input is read."""
+    path = write(tmp_path, PENTAGON)
+    for option in ("--tol-membership", "--tol-lagrangian"):
+        for value in ("nan", "-nan", "0", "-1", "-1e-9"):
+            assert main(["check", path, f"{option}={value}"]) == 1
+            assert "tolerance must be positive" in capsys.readouterr().err
+        assert main(["check", path, option, "x"]) == 1
+        assert "invalid tolerance 'x'" in capsys.readouterr().err
+        assert main(["check", path, option, "1e-3"]) == 0
+
+
+def test_spot_check_failure_names_every_tolerance(tmp_path, capsys, monkeypatch):
+    failing = NumericReport(8, 4, 1.0, 1.0, 1.0)
+    monkeypatch.setattr(cli, "numeric_report", lambda rep, seed: failing)
+    assert main(["check", write(tmp_path, PENTAGON)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric spot check failed" in err
+    for named in ("quadric residual 1.000e+00 (tolerance 1e-09)",
+                  "symplectic residual 1.000e+00 (tolerance 1e-08)",
+                  "loop error 1.000e+00 (tolerance 1e-06)"):
+        assert named in err
+
+
+_SMALL = st.integers(-3, 3)
+# every rational form the parser reads, plus junk it must refuse
+_ENTRY = st.one_of(
+    _SMALL,
+    st.builds("{}/{}".format, _SMALL, st.integers(-1, 4)),
+    st.builds("{}.{}".format, _SMALL, st.integers(0, 99)),
+    st.builds("{}e{}".format, _SMALL, st.integers(-3, 3)),
+    st.builds("{}e{}".format, _SMALL, st.integers(-400, 400)),
+)
+_POSITIVE = st.one_of(
+    st.integers(1, 3),
+    st.builds("{}/{}".format, st.integers(1, 5), st.integers(1, 4)),
+    st.builds("{}e{}".format, st.integers(1, 3), st.integers(-3, 3)),
+)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+    st.integers(-2**1100, 2**1100), st.lists(_SMALL, max_size=2),
+    st.dictionaries(st.text(max_size=2), _SMALL, max_size=1),
+)
+
+
+@st.composite
+def input_documents(draw):
+    """A polytope (facets x dim normals, one offset per facet) or quadric
+    system (r x n gamma, one delta per row) document of small size, often
+    made malformed by one change."""
+    kind = draw(st.sampled_from(("polytope", "quadrics")))
+    # half the documents start from a shape that is often accepted: a box
+    # with positive offsets, or quadrics with nonnegative rows and positive
+    # right-hand sides
+    tame = draw(st.booleans())
+    if kind == "polytope":
+        width = draw(st.integers(1, 3))
+        matrix = [[s * (i == k) for k in range(width)]
+                  for i in range(width) for s in (1, -1)] if tame else []
+        rows = draw(st.integers(max(1, len(matrix)), len(matrix) + 3))
+        vector = draw(st.lists(_POSITIVE, min_size=len(matrix), max_size=len(matrix)))
+    else:
+        rows = draw(st.integers(1, 3))
+        width = draw(st.integers(rows + 1, 6))
+        matrix, vector = [], draw(st.lists(_POSITIVE, min_size=rows, max_size=rows)) if tame else []
+    coefficients = st.integers(0, 2) if tame and kind == "quadrics" else st.integers(-2, 2)
+    matrix += draw(st.lists(st.lists(coefficients, min_size=width, max_size=width),
+                            min_size=rows - len(matrix), max_size=rows - len(matrix)))
+    vector += draw(st.lists(_ENTRY, min_size=rows - len(vector), max_size=rows - len(vector)))
+    keys = ("normals", "offsets") if kind == "polytope" else ("gamma", "delta")
+    doc = {"kind": kind, keys[0]: matrix, keys[1]: vector}
+    change = draw(st.sampled_from(
+        ("drop", "junk_value", "junk_entry", "junk_row_entry", "ragged", "length",
+         "kind", "schema", "not_object")
+    )) if draw(st.booleans()) else "none"
+    if change == "drop":
+        del doc[draw(st.sampled_from(("kind",) + keys))]
+    elif change == "junk_value":
+        doc[draw(st.sampled_from(keys))] = draw(_JUNK)
+    elif change == "junk_entry":
+        vector[draw(st.integers(0, rows - 1))] = draw(_JUNK)
+    elif change == "junk_row_entry":
+        matrix[draw(st.integers(0, rows - 1))][draw(st.integers(0, width - 1))] = draw(_JUNK)
+    elif change == "ragged":
+        matrix[draw(st.integers(0, rows - 1))].append(draw(_SMALL))
+    elif change == "length" and draw(st.booleans()):
+        vector.append(draw(_ENTRY))
+    elif change == "length":
+        vector.pop()
+    elif change == "kind":
+        doc["kind"] = draw(_JUNK)
+    elif change == "schema":
+        doc["schema"] = draw(st.one_of(st.just(1), _JUNK))
+    elif change == "not_object":
+        doc = draw(st.lists(_SMALL, max_size=2))
+    return doc
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(doc=input_documents())
+def test_check_exits_0_1_or_2_on_any_document(tmp_path_factory, doc):
+    """Whatever document it is given, check ends in success, a usage error
+    or a structural rejection, never in exit 3."""
+    path = tmp_path_factory.getbasetemp() / "robustness.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--json"]) in (0, 1, 2)
 
 
 def test_structural_rejections(tmp_path, capsys):

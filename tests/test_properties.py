@@ -41,11 +41,14 @@ from lagrangelab.lattice import lattice_data
 from lagrangelab.maslov import generator_report, monotonicity
 from lagrangelab.polytope import (
     VERTEX_SUBSET_CAP,
+    DelzantResult,
     PolytopePresentation,
+    StructuralFlags,
     VertexData,
     delzant_check,
     enumerate_vertices,
     fano_check,
+    require_flags,
     structural_flags,
 )
 
@@ -365,6 +368,78 @@ def test_enumeration_matches_polytope_side_oracle():
         seen["non_simple"] += any(len(v.active) > p.dim for v in verts)
         seen["duplicate"] += bool(verts) and duplicate
         seen["fractional"] += bool(verts) and any(b.denominator > 1 for b in p.offsets)
+    assert min(seen.values()) >= 25, seen
+
+
+def old_delzant_check(
+    p: PolytopePresentation,
+    vertices: tuple[VertexData, ...],
+    flags: StructuralFlags,
+) -> DelzantResult:
+    """delzant_check before the fixed basis, kept as the reference: one
+    dim x dim determinant per vertex."""
+    require_flags(flags)
+    at = p.normals.transpose()
+    covolume = lattice_index(at, identity(p.dim))
+    for v in vertices:
+        idx = abs(det([at.data[i] for i in v.active])) // covolume
+        if idx != 1:
+            return DelzantResult(False, v, idx)
+    return DelzantResult(True)
+
+
+def test_delzant_matches_per_vertex_det_oracle():
+    """Every vertex index read from the first vertex's basis equals the
+    per-vertex determinant's: the same flag, witness and index, for the
+    vertex order given and for a rotation of it (another basis, and often
+    another first failure). Gated inputs from three generators: random
+    normals, unimodular images of the base shapes, and the enumeration
+    oracle's boxes with cuts, plus the larger th4 and ex1 polytopes."""
+    rng = random.Random(2018_6)
+    bases = base_shapes()
+    seen = dict.fromkeys(
+        ("gale_side", "polytope_side", "delzant", "not_delzant", "minor_k_ge_3"), 0
+    )
+
+    def compare(p, verts, flags):
+        for shift in (0, rng.randrange(len(verts))):
+            order = verts[shift:] + verts[:shift]
+            result = delzant_check(p, order, flags)
+            assert result == old_delzant_check(p, order, flags)
+        tight0 = set(verts[0].active)
+        r = p.n - p.dim
+        seen["gale_side"] += r <= p.dim
+        seen["polytope_side"] += r > p.dim
+        seen["delzant"] += result.is_delzant
+        seen["not_delzant"] += not result.is_delzant
+        seen["minor_k_ge_3"] += max(len(set(v.active) - tight0) for v in verts) >= 3
+
+    for family, params in (("th4", {"p": 2, "q": 1}), ("th4", {"p": 3, "q": 2}),
+                           ("ex1", {"p": 6, "n": 16, "k": 2})):
+        p = quadrics_to_polytope(build(family, **params).system)
+        verts = enumerate_vertices(p)
+        compare(p, verts, structural_flags(p, verts))
+    accepted = attempts = 0
+    while accepted < CASES:
+        attempts += 1
+        assert attempts < 60000, "generator acceptance collapsed"
+        kind = rng.random()
+        if kind < 0.4:
+            made = random_polytope(rng)
+            if made is None:
+                continue
+            p, verts, flags = made
+        else:
+            if kind < 0.6:
+                p = transformed(rng, rng.choice(bases))
+            else:
+                p, _ = random_vertex_input(rng)
+            verts = enumerate_vertices(p)
+            flags = structural_flags(p, verts)
+            if not flags.all_pass():
+                continue
+        compare(p, verts, flags)
+        accepted += 1
     assert min(seen.values()) >= 25, seen
 
 
